@@ -21,6 +21,7 @@ from repro.bench.batching import (
     min_reduction_at_max_runs,
 )
 from repro.bench.reporting import write_bench_json
+from repro.query.indexproj import IndexProjEngine
 from repro.service import ProvenanceService
 from repro.testbed.workloads import genes2kegg_workload
 
@@ -44,8 +45,9 @@ def bench_batch_kernel_unbatched(benchmark, gk_service):
     """Timed kernel: 20-run focused query, one statement per key."""
     workload, service = gk_service
     query = workload.focused_query()
-    # compiled=False: this kernel times the interpreted per-key shape.
-    result = benchmark(lambda: service.lineage(query, compiled=False))
+    engine = IndexProjEngine(service.store, workload.flow)
+    scope = service.runs_of(workload.flow.name)
+    result = benchmark(lambda: engine.lineage_multirun(scope, query))
     assert result.sql_queries == 20
 
 
@@ -53,7 +55,9 @@ def bench_batch_kernel_batched(benchmark, gk_service):
     """Timed kernel: the same query through the set-based grid."""
     workload, service = gk_service
     query = workload.focused_query()
-    result = benchmark(lambda: service.lineage(query, batch=True))
+    engine = IndexProjEngine(service.store, workload.flow)
+    scope = service.runs_of(workload.flow.name)
+    result = benchmark(lambda: engine.lineage_multirun_batched(scope, query))
     assert result.sql_queries == 1
 
 

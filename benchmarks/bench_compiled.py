@@ -7,7 +7,7 @@ re-planning path by at least
 :data:`~repro.bench.compiledplans.WARM_PLAN_SPEEDUP_FLOOR` (p50, every
 Fig. 9 grid point).  The kernel rows time the three regimes at the
 largest chain length; the report benchmark runs the full
-``repro.bench.compiledplans`` sweep plus the HTTP server-load regime,
+``repro.bench.compiledplans`` sweep,
 asserts the floor and answer identity, and writes the machine-readable
 ``BENCH_compiled.json`` record (``repro.bench/1`` schema) at the
 repository root.
@@ -20,7 +20,6 @@ import pytest
 from repro.bench.compiledplans import (
     WARM_PLAN_SPEEDUP_FLOOR,
     compiled_grid_sweep,
-    compiled_server_row,
     min_warm_speedup,
 )
 from repro.bench.figures import scale_config
@@ -79,12 +78,10 @@ def bench_compiled_kernel_warm(benchmark, midsize_store):
 
 
 def bench_compiled_report(benchmark, scale, emit_report):
-    """Full sweep: grid + server regime, floor asserted, record written."""
+    """Full sweep: grid, floor asserted, record written."""
     rows = benchmark.pedantic(
         lambda: compiled_grid_sweep(scale), rounds=1, iterations=1
     )
-    rows = list(rows)
-    rows.append(compiled_server_row())
     emit_report(
         "compiled_plans",
         rows,
@@ -92,8 +89,7 @@ def bench_compiled_report(benchmark, scale, emit_report):
         columns=[
             "regime", "d", "l", "interpreted_p50_ms",
             "cold_compile_p50_ms", "warm_plan_p50_ms", "warm_speedup",
-            "interpreted_sql", "warm_plan_sql", "compiled_p50_ms",
-            "requests",
+            "interpreted_sql", "warm_plan_sql",
         ],
     )
     floor = min_warm_speedup(rows)

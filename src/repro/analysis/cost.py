@@ -56,18 +56,10 @@ class PlanExplanation:
     #: chunk size the batched estimate assumes
     #: (:data:`repro.provenance.store.DEFAULT_BATCH_CHUNK` by default).
     batch_chunk_size: int = DEFAULT_BATCH_CHUNK
-    #: how a default ``lineage()`` call would execute: ``"compiled"``
-    #: (through the plan registry's prepared programs) or
-    #: ``"interpreted"``.
-    execution: str = "interpreted"
     #: compiled-plan registry state for this query shape: ``"warm"`` (a
-    #: valid program exists — (s1) would be skipped entirely),
-    #: ``"cold"``, or ``None`` when the planning context has no registry.
+    #: program exists — (s1) would be skipped entirely), ``"cold"``, or
+    #: ``None`` when the planning context has no registry.
     plan_state: Optional[str] = None
-    #: prepared-statement reuses the backend has recorded so far
-    #: (``store.stmt_cache_hits``); only meaningful alongside
-    #: ``execution == "compiled"``.
-    stmt_cache_hits: int = 0
 
     def summary(self) -> str:
         lines = [self.report.summary()]
@@ -80,13 +72,8 @@ class PlanExplanation:
                     f" -> {self.batched_round_trips} batched"
                     f" (chunk={self.batch_chunk_size})"
                 )
-            if self.execution == "compiled":
-                lines.append(
-                    f"execution: compiled (plan {self.plan_state or 'cold'},"
-                    f" {self.stmt_cache_hits} statement-cache hits)"
-                )
-            else:
-                lines.append(f"execution: {self.execution}")
+            if self.plan_state is not None:
+                lines.append(f"compiled plan: {self.plan_state}")
             if self.cache_state is not None:
                 hint = (
                     " (would be served with 0 trace lookups)"
@@ -123,17 +110,15 @@ def explain_plan(
     runs: int = 1,
     cache_state: Optional[str] = None,
     batch_chunk: int = DEFAULT_BATCH_CHUNK,
-    execution: str = "interpreted",
     plan_state: Optional[str] = None,
-    stmt_cache_hits: int = 0,
 ) -> PlanExplanation:
     """Full static plan for one query (pre-check + cost + trace lookups).
 
     ``cache_state`` is supplied by contexts that own a lineage result
     cache (the :class:`~repro.service.ProvenanceService`): ``"warm"``
     when a currently-valid cached answer exists for the query.
-    ``execution``/``plan_state``/``stmt_cache_hits`` likewise come from
-    contexts that own a compiled-plan registry (same service).
+    ``plan_state`` likewise comes from contexts that own a compiled-plan
+    registry (same service).
 
     The round-trip estimates are exact for INDEXPROJ, because the key
     grid of the batched s2 executor is exactly ``plan × runs``:
@@ -158,7 +143,5 @@ def explain_plan(
         unbatched_round_trips=keys,
         batched_round_trips=math.ceil(keys / chunk),
         batch_chunk_size=chunk,
-        execution=execution,
         plan_state=plan_state,
-        stmt_cache_hits=stmt_cache_hits,
     )

@@ -23,6 +23,8 @@ import tempfile
 import time
 from typing import Any, Dict, List
 
+from repro.query.indexproj import IndexProjEngine
+from repro.query.naive import NaiveEngine
 from repro.service import ProvenanceService
 
 Row = Dict[str, Any]
@@ -82,6 +84,12 @@ def batch_sweep(scale: str = "quick") -> List[Row]:
                 for _ in range(max(config["runs"]))
             ]
             service.store.create_indexes()
+            engines = {
+                "indexproj": IndexProjEngine(
+                    service.store, workload.flow.flattened()
+                ),
+                "naive": NaiveEngine(service.store),
+            }
             for kind, query in (
                 ("focused", workload.focused_query()),
                 ("unfocused", workload.unfocused_query()),
@@ -91,7 +99,8 @@ def batch_sweep(scale: str = "quick") -> List[Row]:
                         scope = all_runs[:count]
                         rows.append(
                             _measure(
-                                service, key, kind, strategy, scope, query
+                                engines[strategy], key, kind, strategy,
+                                scope, query,
                             )
                         )
             service.close()
@@ -99,36 +108,26 @@ def batch_sweep(scale: str = "quick") -> List[Row]:
 
 
 def _measure(
-    service: ProvenanceService,
+    engine: Any,
     workload_key: str,
     kind: str,
     strategy: str,
     scope: List[str],
     query,
 ) -> Row:
-    # compiled=False throughout: this sweep measures the *interpreted*
-    # per-key baseline against the set-based grid (the compiled path has
-    # its own record, BENCH_compiled.json).
-    unbatched = service.lineage(
-        query, runs=scope, strategy=strategy, compiled=False
-    )
-    batched = service.lineage(
-        query, runs=scope, strategy=strategy, batch=True, compiled=False
-    )
+    # Engine-level references: the paper's per-run loop against the
+    # set-based grid (the compiled path has its own record,
+    # BENCH_compiled.json).
+    unbatched = engine.lineage_multirun(scope, query)
+    batched = engine.lineage_multirun_batched(scope, query)
     identical = (
         batched.binding_keys_by_run() == unbatched.binding_keys_by_run()
     )
     unbatched_queries = unbatched.sql_queries
     batched_queries = batched.sql_queries
-    unbatched_ms = _best_ms(
-        lambda: service.lineage(
-            query, runs=scope, strategy=strategy, compiled=False
-        )
-    )
+    unbatched_ms = _best_ms(lambda: engine.lineage_multirun(scope, query))
     batched_ms = _best_ms(
-        lambda: service.lineage(
-            query, runs=scope, strategy=strategy, batch=True, compiled=False
-        )
+        lambda: engine.lineage_multirun_batched(scope, query)
     )
     return {
         "workload": workload_key,

@@ -1,27 +1,18 @@
 """Compiled-plan experiment: cold compile vs warm plan vs interpreted.
 
-Two regimes, one record (``BENCH_compiled.json``):
+One regime, one record (``BENCH_compiled.json``): the paper's Fig. 9
+configurations (chain length *l* × nesting depth *d*, one run, the
+focused query).  Per grid point three executions are timed with
+:func:`~repro.bench.harness.best_of` and their p50 reported:
 
-``fig9 grid``
-    The paper's Fig. 9 configurations (chain length *l* × nesting depth
-    *d*, one run, the focused query).  Per grid point three executions
-    are timed with :func:`~repro.bench.harness.best_of` and their p50
-    reported:
-
-    * ``interpreted`` — the plain INDEXPROJ engine re-planning per call
-      (``cache_plans=False``), the committed ``BENCH_strategies.json``
-      baseline regime;
-    * ``cold-compile`` — the compiled path with the registry cleared
-      before every call, so each sample pays (s1) compilation *and*
-      prepared execution;
-    * ``warm-plan`` — the compiled path against a hot registry: the
-      steady state a long-lived service runs in.
-
-``server-load``
-    One closed-loop HTTP client against a single-tenant
-    :class:`~repro.server.runtime.ProvenanceServer`, the same lineage
-    request issued with ``compiled=true`` and ``compiled=false``; the
-    row records both p50s as seen through the full service stack.
+* ``interpreted`` — the plain INDEXPROJ engine re-planning per call
+  (``cache_plans=False``), the committed ``BENCH_strategies.json``
+  baseline regime;
+* ``cold-compile`` — the compiled path with the registry cleared before
+  every call, so each sample pays (s1) compilation *and* prepared
+  execution;
+* ``warm-plan`` — the compiled path against a hot registry: the steady
+  state a long-lived service runs in.
 
 The acceptance floor — warm-plan at least
 :data:`WARM_PLAN_SPEEDUP_FLOOR` times faster than interpreted at every
@@ -31,7 +22,6 @@ grid point — is computed here and asserted (and archived) by
 
 from __future__ import annotations
 
-import time
 from typing import Any, Dict, List, Sequence
 
 from repro.bench.figures import scale_config
@@ -105,70 +95,6 @@ def compiled_grid_sweep(scale: str = "quick") -> List[Row]:
                 }
             )
     return rows
-
-
-def compiled_server_row(requests: int = 30) -> Row:
-    """p50 of the same request served compiled vs interpreted over HTTP."""
-    import tempfile
-
-    from repro.query.parser import format_query
-    from repro.server import (
-        ServerClient,
-        ServerConfig,
-        ServerThread,
-        TenantRegistry,
-    )
-    from repro.service import ProvenanceService
-    from repro.testbed.workloads import genes2kegg_workload
-
-    workload = genes2kegg_workload()
-    q_text = format_query(workload.focused_query())
-    with tempfile.TemporaryDirectory() as tmp:
-        service = ProvenanceService(f"{tmp}/traces.db", cache=False)
-        registry = TenantRegistry()
-        try:
-            service.register_workflow(workload.flow, workload.registry)
-            for _ in range(3):
-                service.run(workload.name, workload.inputs)
-            registry.register_service("bench", service)
-            thread = ServerThread(
-                config=ServerConfig(max_workers=2), registry=registry
-            )
-            try:
-                url = thread.start()
-                with ServerClient(url, tenant="bench") as client:
-                    latencies: Dict[str, List[float]] = {}
-                    for mode in ("true", "false"):
-                        # Warm-up request: plan compilation / SQLite
-                        # page cache stay out of the timed samples.
-                        response = client.lineage(
-                            q=q_text, cache="false", compiled=mode
-                        )
-                        assert response.status == 200, response.body
-                        samples = latencies.setdefault(mode, [])
-                        for _ in range(requests):
-                            started = time.perf_counter()
-                            response = client.lineage(
-                                q=q_text, cache="false", compiled=mode
-                            )
-                            elapsed = time.perf_counter() - started
-                            assert response.status == 200, response.body
-                            samples.append(elapsed)
-            finally:
-                thread.stop()
-        finally:
-            service.close()
-    return {
-        "regime": "server-load",
-        "requests": requests,
-        "compiled_p50_ms": round(_median_ms(latencies["true"]), 3),
-        "interpreted_p50_ms": round(_median_ms(latencies["false"]), 3),
-    }
-
-
-def _median_ms(samples: Sequence[float]) -> float:
-    ordered = sorted(samples)
-    return ordered[len(ordered) // 2] * 1000.0
 
 
 def min_warm_speedup(rows: Sequence[Row]) -> float:

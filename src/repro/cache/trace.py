@@ -30,7 +30,14 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.cache.lru import MISSING, LRUCache
 from repro.engine.events import Binding
 from repro.obs.core import NO_OBS, Observability
-from repro.provenance.store import StoreStats, TraceStore, XformMatch
+from repro.provenance.store import (
+    CompiledPair,
+    StoreStats,
+    TraceStore,
+    XformMatch,
+    batch_key_id,
+    compiled_pair_id,
+)
 from repro.values.index import Index
 
 
@@ -287,44 +294,40 @@ class TraceReadCache:
     def _lookup_many(
         self,
         tag: str,
-        keys: Sequence[Tuple[str, str, str, Index]],
+        keys: Sequence[Any],
         fetch_missing: Callable[
-            [List[Tuple[str, str, str, Index]]],
-            Dict[Tuple[str, str, str, str], Sequence[Any]],
+            [List[Any]], Dict[Tuple[str, str, str, str], Sequence[Any]],
         ],
+        key_id: Callable[[Any], Tuple[str, str, str, str]] = batch_key_id,
     ) -> Dict[Tuple[str, str, str, str], List[Any]]:
         """Shared hit/miss split for the batched lookup wrappers.
 
         Serves warm keys from memory, fetches only the misses through
         ``fetch_missing`` (one chunked batch), and backfills them under
-        generation vectors captured per run *before* the fetch.  Keys are
-        byte-identical to the single-key wrappers', so a cache warmed by
-        one path serves the other.
+        generation vectors captured per run *before* the fetch.
+        ``key_id`` maps a key to its ``(run_id, node, port, encoded
+        index)`` identity; LRU keys are byte-identical to the single-key
+        wrappers', so a cache warmed by one path serves the other.
         """
-        probes = [
-            ((tag, run_id, node, port, index.encode()), run_id)
-            for run_id, node, port, index in keys
-        ]
+        ids = [key_id(key) for key in keys]
+        probes = [((tag, *ident), ident[0]) for ident in ids]
         hits, miss_ords = self.get_many(probes)
         result: Dict[Tuple[str, str, str, str], List[Any]] = {}
         for ord_, payload in hits.items():
-            run_id, node, port, index = keys[ord_]
-            result[(run_id, node, port, index.encode())] = list(payload)
+            result[ids[ord_]] = list(payload)
         if miss_ords:
             captured: Dict[str, Tuple[int, Tuple[int, ...]]] = {}
             for ord_ in miss_ords:
-                run_id = keys[ord_][0]
+                run_id = ids[ord_][0]
                 if run_id not in captured:
                     captured[run_id] = self.store.generation_vector((run_id,))
-            miss_keys = [keys[ord_] for ord_ in miss_ords]
-            fetched = fetch_missing(miss_keys)
+            fetched = fetch_missing([keys[ord_] for ord_ in miss_ords])
             entries: List[Tuple[Tuple[Any, ...], Any, Tuple[Any, ...]]] = []
             for ord_ in miss_ords:
-                run_id, node, port, index = keys[ord_]
-                key_id = (run_id, node, port, index.encode())
-                payload = tuple(fetched[key_id])
-                entries.append((probes[ord_][0], captured[run_id], payload))
-                result[key_id] = list(payload)
+                ident = ids[ord_]
+                payload = tuple(fetched[ident])
+                entries.append((probes[ord_][0], captured[ident[0]], payload))
+                result[ident] = list(payload)
             self.put_many(entries)
         return result
 
@@ -345,50 +348,24 @@ class TraceReadCache:
 
     def find_xform_inputs_matching_compiled(
         self,
-        pairs: Sequence[Tuple[str, Tuple[Any, ...]]],
+        pairs: Sequence[CompiledPair],
         stats: Optional[StoreStats] = None,
         chunk_size: Optional[int] = None,
     ) -> Dict[Tuple[str, str, str, str], List[Binding]]:
         """Compiled-grid lookup sharing entries with the interpreted paths.
 
-        LRU keys are byte-identical to
-        :meth:`find_xform_inputs_matching` /
-        :meth:`find_xform_inputs_matching_many` (the compiled lookup
-        already carries the encoded fragment, so no re-encoding happens
-        here) — a cache warmed by any execution mode serves the others.
-        Misses go to the store's compiled primitive in one batch.
+        The compiled lookup already carries the encoded fragment, so no
+        re-encoding happens here; misses go to the store's compiled
+        primitive in one batch.
         """
-        probes = [
-            (
-                ("xform_in_match", run_id, lk[0], lk[1], lk[2]),
-                run_id,
-            )
-            for run_id, lk in pairs
-        ]
-        hits, miss_ords = self.get_many(probes)
-        result: Dict[Tuple[str, str, str, str], List[Binding]] = {}
-        for ord_, payload in hits.items():
-            run_id, lk = pairs[ord_]
-            result[(run_id, lk[0], lk[1], lk[2])] = list(payload)
-        if miss_ords:
-            captured: Dict[str, Tuple[int, Tuple[int, ...]]] = {}
-            for ord_ in miss_ords:
-                run_id = pairs[ord_][0]
-                if run_id not in captured:
-                    captured[run_id] = self.store.generation_vector((run_id,))
-            miss_pairs = [pairs[ord_] for ord_ in miss_ords]
-            fetched = self.store.find_xform_inputs_matching_compiled(
-                miss_pairs, stats, chunk_size=chunk_size
-            )
-            entries: List[Tuple[Tuple[Any, ...], Any, Tuple[Any, ...]]] = []
-            for ord_ in miss_ords:
-                run_id, lk = pairs[ord_]
-                key_id = (run_id, lk[0], lk[1], lk[2])
-                payload = tuple(fetched[key_id])
-                entries.append((probes[ord_][0], captured[run_id], payload))
-                result[key_id] = list(payload)
-            self.put_many(entries)
-        return result
+        return self._lookup_many(
+            "xform_in_match",
+            pairs,
+            lambda missing: self.store.find_xform_inputs_matching_compiled(
+                missing, stats, chunk_size=chunk_size
+            ),
+            key_id=compiled_pair_id,
+        )
 
     def find_xform_by_output_many(
         self,

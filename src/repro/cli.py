@@ -57,7 +57,7 @@ from repro.obs import (
     render_span_tree,
 )
 from repro.provenance.capture import capture_run
-from repro.provenance.store import DEFAULT_BATCH_CHUNK, TraceStore
+from repro.provenance.store import TraceStore
 from repro.storage import open_store
 from repro.query.base import LineageQuery
 from repro.query.indexproj import IndexProjEngine
@@ -183,30 +183,9 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--workload", choices=sorted(_WORKLOADS))
     query.add_argument("--synthetic-l", type=int)
     query.add_argument(
-        "--workers", type=int, default=1,
-        help="fan per-run lookups across this many threads (indexproj only)",
-    )
-    query.add_argument(
         "--cache", action=argparse.BooleanOptionalAction, default=True,
         help="memoize trace lookups across repeats (--no-cache disables; "
         "see docs/CACHING.md)",
-    )
-    query.add_argument(
-        "--batch", action=argparse.BooleanOptionalAction, default=False,
-        help="set-based execution: collapse per-key SQL round-trips into "
-        "chunked multi-key lookups across runs (see docs/PERFORMANCE.md)",
-    )
-    query.add_argument(
-        "--batch-size", type=int, metavar="N",
-        help="lookup keys per batched statement (implies --batch; "
-        f"default {DEFAULT_BATCH_CHUNK})",
-    )
-    query.add_argument(
-        "--compiled", action=argparse.BooleanOptionalAction, default=True,
-        help="execute through the compiled-plan registry: the traversal "
-        "is baked into a prepared SQL program reused across repeats "
-        "(--no-compiled forces the interpreted path; "
-        "see docs/PERFORMANCE.md)",
     )
     query.add_argument(
         "--repeat", type=int, default=1, metavar="N",
@@ -605,33 +584,19 @@ def cmd_query(args: argparse.Namespace) -> int:
                 store, flow, obs=obs, trace_cache=trace_cache
             )
 
-        use_batch = bool(args.batch) or args.batch_size is not None
-        chunk_size = args.batch_size
-
-        def run_once():
-            # Compiled execution subsumes --batch (it honours the chunk
-            # size); an explicit --workers fan-out wins over the default.
-            if strategy != "naive" and args.compiled and args.workers <= 1:
-                return engine.lineage_multirun_compiled(
-                    run_ids, query, chunk_size=chunk_size
-                )
-            if use_batch:
-                return engine.lineage_multirun_batched(
-                    run_ids, query, chunk_size=chunk_size
-                )
-            if strategy == "naive":
-                return engine.lineage_multirun(run_ids, query)
-            if args.workers > 1:
-                return engine.lineage_multirun_parallel(
-                    run_ids, query, max_workers=args.workers
-                )
-            return engine.lineage_multirun(run_ids, query)
+        # The service's one execution path per strategy: a compiled
+        # INDEXPROJ program, or level-synchronous NI, over all runs.
+        execute = (
+            engine.lineage_multirun_batched
+            if strategy == "naive"
+            else engine.lineage_multirun_compiled
+        )
 
         repeats = max(1, args.repeat)
         results = None
         for iteration in range(repeats):
             start = time.perf_counter()
-            results = run_once()
+            results = execute(run_ids, query)
             elapsed_ms = (time.perf_counter() - start) * 1000
             if repeats > 1:
                 store_queries = results.sql_queries

@@ -75,7 +75,8 @@ range ``(p + '.', p + '/')`` (``'/'`` is the successor of ``'.'``; index
 encodings contain only digits and dots, so the range is precisely the
 ``idx LIKE 'p.%'`` set).
 
-Key sets larger than :attr:`BatchConfig.chunk_size` are split across
+Key sets larger than the chunk size (default
+:data:`DEFAULT_BATCH_CHUNK`) are split across
 several statements, and a statement is flushed early when the next key
 would exceed the conservative bound-variable budget — so round-trips
 for ``k`` keys are ``ceil(k / chunk)``, never ``k``.  Batched traffic is
@@ -251,41 +252,6 @@ DEFAULT_BATCH_CHUNK = 32
 #: the next key would push the statement over this budget, so a large
 #: ``chunk_size`` degrades gracefully instead of erroring.
 _MAX_BOUND_VARS = 900
-
-
-@dataclass(frozen=True)
-class BatchConfig:
-    """Tuning for the set-based (batched) read path.
-
-    ``chunk_size`` bounds the number of lookup keys folded into one
-    ``VALUES``-join statement; larger chunks mean fewer round-trips but
-    bigger statements.  Chunks are additionally flushed early to respect
-    the SQLite bound-variable budget, whatever the configured size.
-    ``BatchConfig.of`` coerces the ``batch=bool|BatchConfig`` convention
-    of :meth:`repro.service.ProvenanceService.lineage`.
-    """
-
-    enabled: bool = True
-    chunk_size: int = DEFAULT_BATCH_CHUNK
-
-    def __post_init__(self) -> None:
-        if self.chunk_size < 1:
-            raise ValueError(
-                f"chunk_size must be >= 1, got {self.chunk_size}"
-            )
-
-    @classmethod
-    def of(cls, value: Any) -> "BatchConfig":
-        """Coerce ``True``/``False``/``None``/config into a config."""
-        if isinstance(value, BatchConfig):
-            return value
-        if value is True:
-            return cls()
-        if value is None or value is False:
-            return cls(enabled=False)
-        raise TypeError(
-            f"batch must be a bool, None, or BatchConfig, not {value!r}"
-        )
 
 
 #: Run id of the reference rows :mod:`repro.analysis.planlint` seeds into
@@ -767,17 +733,6 @@ class TraceStore:
         self._global_generation = 0
         self._membership_generation = 0
         self._invalidation_listeners: List[Callable[[Optional[str]], None]] = []
-        # Per-connection statement cache accounting (compiled plans):
-        # sqlite3 keeps the real prepared-statement cache per connection,
-        # keyed by SQL text; we track which statement texts each
-        # connection has already prepared so compiled executions can
-        # report warm/cold prepares.  The epoch invalidates every
-        # connection's tracked set after schema/index maintenance.
-        self._stmt_cache_epoch = 0
-        #: Approximate prepared-statement reuse counters (unlocked ints:
-        #: racy under concurrency by design, exact when single-threaded).
-        self.stmt_cache_hits = 0
-        self.stmt_cache_misses = 0
         # One writer at a time, across all threads.  RLock so write paths
         # may call read helpers without deadlocking themselves.
         self._writer_lock = threading.RLock()
@@ -905,57 +860,6 @@ class TraceStore:
         if obs.enabled:
             obs.inc("store.busy_failures")
         raise StoreBusyError(self.retry.max_attempts, last_error)
-
-    def _statement_cache(self) -> set:
-        """The calling connection's tracked prepared-statement texts.
-
-        Lazily reset whenever the cache epoch moved (schema or index
-        maintenance) so no compiled execution is ever accounted as a warm
-        prepare against a statement compiled for the old schema.  Memory
-        stores share one connection — and therefore one tracked set —
-        across threads; file stores track per thread-local connection.
-        """
-        holder = self._local if self._shared_conn is None else self
-        epoch = self._stmt_cache_epoch
-        cached = getattr(holder, "_stmt_cache", None)
-        if cached is None or getattr(holder, "_stmt_cache_seen_epoch", -1) != epoch:
-            cached = set()
-            holder._stmt_cache = cached
-            holder._stmt_cache_seen_epoch = epoch
-        return cached
-
-    def _read_prepared(
-        self,
-        sql: str,
-        params: Sequence[Any] = (),
-        stats: Optional[StoreStats] = None,
-    ) -> List[Tuple]:
-        """One SELECT through :meth:`_read`, with prepare accounting.
-
-        The actual statement reuse happens inside sqlite3's per-connection
-        cache (keyed by SQL text); this wrapper only records whether the
-        text was already prepared on this connection, so compiled-plan
-        executions can report warm/cold statement-cache behaviour.
-        """
-        cache = self._statement_cache()
-        if sql in cache:
-            self.stmt_cache_hits += 1
-            if self.obs.enabled:
-                self.obs.inc("store.stmt_cache_hits")
-        else:
-            cache.add(sql)
-            self.stmt_cache_misses += 1
-            if self.obs.enabled:
-                self.obs.inc("store.stmt_cache_misses")
-        return self._read(sql, params, stats)
-
-    def statement_cache_stats(self) -> Dict[str, int]:
-        """Prepared-statement reuse counters (approximate under threads)."""
-        return {
-            "hits": self.stmt_cache_hits,
-            "misses": self.stmt_cache_misses,
-            "epoch": self._stmt_cache_epoch,
-        }
 
     def _read_one(
         self,
@@ -1126,11 +1030,6 @@ class TraceStore:
         """Advance the store-wide generation (maintenance operations)."""
         with self._generation_lock:
             self._global_generation += 1
-            # Schema/index maintenance may invalidate prepared statements:
-            # moving the epoch makes every connection's tracked statement
-            # set lazily reset, so post-maintenance prepares are counted
-            # (and reported) as cold again.
-            self._stmt_cache_epoch += 1
             listeners = list(self._invalidation_listeners)
         if self.obs.enabled:
             self.obs.inc("store.generation_bumps")
@@ -1803,29 +1702,29 @@ class TraceStore:
 
     def _batch_chunks(
         self,
-        keys: Sequence[Tuple[int, str, str, str, str]],
+        keys: Sequence[Any],
         chunk_size: Optional[int],
-    ) -> Iterable[List[Tuple[int, str, str, str, str]]]:
-        """Split enumerated keys into statement-sized chunks.
+        costs: Iterable[int],
+    ) -> Iterable[List[Any]]:
+        """Split lookup keys into statement-sized chunks.
 
-        ``keys`` carry ``(ord, run_id, node, port, encoded_index)``.  A
-        chunk closes at ``chunk_size`` keys or when the next key would
-        exceed the bound-variable budget, whichever comes first.
+        ``costs`` holds each key's bound-variable charge: one 5-column
+        VALUES row per enumerated prefix plus one 6-column row for the
+        extension range.  A chunk closes at ``chunk_size`` keys or when
+        the next key would exceed the bound-variable budget, whichever
+        comes first.
         """
         limit = chunk_size if chunk_size is not None else DEFAULT_BATCH_CHUNK
         if limit < 1:
             raise ValueError(f"chunk_size must be >= 1, got {limit}")
-        chunk: List[Tuple[int, str, str, str, str]] = []
+        chunk: List[Any] = []
         budget = 0
-        for item in keys:
-            # Each prefix costs one 5-column VALUES row; the extension
-            # range costs one 6-column row.
-            cost = 5 * len(_prefixes(item[4])) + 6
-            if chunk and (len(chunk) >= limit or budget + cost > _MAX_BOUND_VARS):
+        for item, charge in zip(keys, costs):
+            if chunk and (len(chunk) >= limit or budget + charge > _MAX_BOUND_VARS):
                 yield chunk
                 chunk, budget = [], 0
             chunk.append(item)
-            budget += cost
+            budget += charge
         if chunk:
             yield chunk
 
@@ -1903,7 +1802,8 @@ class TraceStore:
             for ord_, (run_id, node, port, index) in enumerate(keys)
         ]
         rows: List[Tuple] = []
-        for chunk in self._batch_chunks(enumerated, effective_chunk):
+        costs = (5 * len(_prefixes(item[4])) + 6 for item in enumerated)
+        for chunk in self._batch_chunks(enumerated, effective_chunk, costs):
             eq_params: List[Any] = []
             eq_count = 0
             rg_params: List[Any] = []
@@ -2031,43 +1931,49 @@ class TraceStore:
         """
         if not pairs:
             return {}
+        limit = chunk_size if chunk_size is not None else DEFAULT_BATCH_CHUNK
+        # One span per grid, like the ``*_many`` lookups' ``store.batch``.
+        with self.obs.span(
+            "store.batch", table="xform_io", keys=len(pairs),
+            chunk_size=limit,
+        ) as span:
+            grouped = self._read_compiled_grid(pairs, stats, limit)
+            span.set(round_trips=-(-len(pairs) // limit))
+        value_memo: Dict[str, Any] = {}
+        result: Dict[BatchKeyId, List[Binding]] = {}
+        for ord_, pair in enumerate(pairs):
+            result[compiled_pair_id(pair)] = _dedupe_bindings(
+                grouped.get(ord_, ()), value_memo
+            )
+        return result
+
+    def _read_compiled_grid(
+        self,
+        pairs: Sequence[CompiledPair],
+        stats: Optional[StoreStats],
+        limit: int,
+    ) -> Dict[int, List[Tuple[str, str, str, Optional[str]]]]:
+        """Rows of a compiled grid grouped by the pair's position."""
         obs = self.obs
         if len(pairs) == 1:
             run_id, lookup = pairs[0]
             node, port, encoded, prefixes, like = lookup[:5]
-            rows = self._read_prepared(
+            rows = self._read(
                 _single_match_sql(len(prefixes)),
                 [run_id, node, port, *prefixes, like],
                 stats=stats,
             )
             if stats is not None:
                 stats.record(len(rows))
-            return {(run_id, node, port, encoded): _dedupe_bindings(rows)}
-        limit = chunk_size if chunk_size is not None else DEFAULT_BATCH_CHUNK
-        if limit < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {limit}")
-        # Chunking mirrors _batch_chunks, with each key's bound-variable
-        # cost read off the compiled lookup instead of recomputed.
-        chunks: List[List[Tuple[int, str, CompiledLookup]]] = []
-        chunk: List[Tuple[int, str, CompiledLookup]] = []
-        budget = 0
-        for ord_, (run_id, lookup) in enumerate(pairs):
-            cost = lookup[7]
-            if chunk and (
-                len(chunk) >= limit or budget + cost > _MAX_BOUND_VARS
-            ):
-                chunks.append(chunk)
-                chunk, budget = [], 0
-            chunk.append((ord_, run_id, lookup))
-            budget += cost
-        if chunk:
-            chunks.append(chunk)
+            return {0: rows}
+        # Each compiled lookup carries its bound-variable cost.
+        costs = [lookup[7] for _, lookup in pairs]
         grouped: Dict[int, List[Tuple[str, str, str, Optional[str]]]] = {}
-        for chunk in chunks:
+        for chunk in self._batch_chunks(list(enumerate(pairs)), limit, costs):
             eq_params: List[Any] = []
             eq_count = 0
             rg_params: List[Any] = []
-            for ord_, run_id, lookup in chunk:
+            for ord_, (run_id, lookup) in chunk:
                 node, port = lookup[0], lookup[1]
                 for prefix in lookup[3]:
                     eq_params.extend((ord_, run_id, node, port, prefix))
@@ -2077,9 +1983,7 @@ class TraceStore:
                 )
             sql = _compiled_grid_sql(eq_count, len(chunk))
             started = time.perf_counter() if obs.enabled else 0.0
-            fetched = self._read_prepared(
-                sql, eq_params + rg_params, stats=stats
-            )
+            fetched = self._read(sql, eq_params + rg_params, stats=stats)
             if stats is not None:
                 stats.record(len(fetched))
                 stats.record_batch(len(chunk), limit)
@@ -2091,13 +1995,7 @@ class TraceStore:
                 )
             for row in fetched:
                 grouped.setdefault(row[0], []).append(row[1:])
-        value_memo: Dict[str, Any] = {}
-        result: Dict[BatchKeyId, List[Binding]] = {}
-        for ord_, pair in enumerate(pairs):
-            result[compiled_pair_id(pair)] = _dedupe_bindings(
-                grouped.get(ord_, ()), value_memo
-            )
-        return result
+        return grouped
 
     @sql_primitive(
         BindShape(

@@ -18,13 +18,11 @@ This module compiles that static part **once** into a
   which binds parameters against pre-rendered (and per-connection
   prepared) SQL text.
 
-Plans live in a :class:`PlanRegistry` — an LRU keyed like the PR-4
-result cache (workflow fingerprint + strategy + target + focus) and
-invalidated by the same store generation vectors: any maintenance or
-membership bump makes every cached program stale, and the next request
-recompiles against the current schema.  Recompilation is a spec-graph
-traversal (microseconds), so eager full eviction is both correct and
-cheap.
+Plans live in a :class:`PlanRegistry` — a plain LRU keyed by the
+workflow fingerprint, strategy, target and focus.  A plan's lookups are
+a pure function of that key, so no store write (ingest, ``delete_run``,
+index maintenance, vacuum) can make one stale: the registry never
+listens to the store, and a warm plan stays warm across writes.
 """
 
 from __future__ import annotations
@@ -80,18 +78,11 @@ class PlanKey:
 
 @dataclass(frozen=True)
 class CompiledPlan:
-    """One (s1) traversal frozen into an executable program.
-
-    ``generations`` records the store's ``(global, membership)``
-    generations at compile time; the registry revalidates it on every
-    fetch, so a plan compiled before index maintenance or a membership
-    change is never executed afterwards.
-    """
+    """One (s1) traversal frozen into an executable program."""
 
     key: PlanKey
     lookups: Tuple[CompiledLookup, ...]
     visited_ports: int
-    generations: Tuple[int, int]
     compile_seconds: float
 
     @property
@@ -110,7 +101,6 @@ def compile_plan(
     query: LineageQuery,
     fingerprint: str,
     strategy: str = "indexproj",
-    generations: Tuple[int, int] = (0, 0),
 ) -> CompiledPlan:
     """Run (s1) once and fold its outcome into constants.
 
@@ -128,34 +118,24 @@ def compile_plan(
         key=PlanKey.of(fingerprint, query, strategy),
         lookups=lookups,
         visited_ports=plan.visited_ports,
-        generations=generations,
         compile_seconds=time.perf_counter() - started,
     )
 
 
 class PlanRegistry:
-    """Generation-aware LRU of compiled programs.
+    """Spec-keyed LRU of compiled programs.
 
-    Shares the coherence protocol of :mod:`repro.cache`: entries carry
-    the store's ``(global, membership)`` generations from compile time
-    and are served only while the current generations compare equal; the
-    store's invalidation listener additionally evicts eagerly, so a
-    maintenance bump empties the registry the moment it happens (no
-    stale prepared program can survive a schema change even if the
-    generation check were skipped).  Thread-safe; counters mirror into
-    ``compiled.plan_hits`` / ``compiled.plan_misses`` when observability
-    is enabled.
+    Thread-safe; counters mirror into ``compiled.plan_hits`` /
+    ``compiled.plan_misses`` when observability is enabled.
     """
 
     def __init__(
         self,
-        store: Any,
         max_entries: int = DEFAULT_PLAN_CAPACITY,
         obs: Optional[Observability] = None,
     ) -> None:
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.store = store
         self.max_entries = max_entries
         self.obs = obs if obs is not None else NO_OBS
         self._lock = threading.Lock()
@@ -163,26 +143,6 @@ class PlanRegistry:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.invalidations = 0
-        store.add_invalidation_listener(self._on_generation_bump)
-
-    # ------------------------------------------------------------------
-
-    def _generations(self) -> Tuple[int, int]:
-        return (self.store.global_generation, self.store.membership_generation)
-
-    def _on_generation_bump(self, run_id: Optional[str]) -> None:
-        # A compiled program depends on the schema (prepared statements)
-        # and on nothing about any single run's *data* — but membership
-        # bumps share a channel with data bumps, and recompiling is a
-        # microsecond spec traversal, so the conservative reaction to any
-        # bump is a full clear.
-        with self._lock:
-            if self._plans:
-                self.invalidations += len(self._plans)
-                self._plans.clear()
-
-    # ------------------------------------------------------------------
 
     def get_or_compile(
         self,
@@ -191,27 +151,22 @@ class PlanRegistry:
         fingerprint: str,
         strategy: str = "indexproj",
     ) -> CompiledPlan:
-        """Fetch the program for a query, compiling on miss/stale."""
+        """Fetch the program for a query, compiling on a miss."""
         key = PlanKey.of(fingerprint, query, strategy)
-        current = self._generations()
         with self._lock:
             plan = self._plans.get(key)
-            if plan is not None and plan.generations == current:
+            if plan is not None:
                 self._plans.move_to_end(key)
                 self.hits += 1
-                hit = True
             else:
                 self.misses += 1
-                hit = False
-        if hit:
+        if plan is not None:
             if self.obs.enabled:
                 self.obs.inc("compiled.plan_hits")
             return plan
         if self.obs.enabled:
             self.obs.inc("compiled.plan_misses")
-        plan = compile_plan(
-            analysis, query, fingerprint, strategy, generations=current
-        )
+        plan = compile_plan(analysis, query, fingerprint, strategy)
         with self._lock:
             self._plans[key] = plan
             self._plans.move_to_end(key)
@@ -228,14 +183,8 @@ class PlanRegistry:
     ) -> str:
         """``"warm"``/``"cold"`` without compiling (explain support)."""
         key = PlanKey.of(fingerprint, query, strategy)
-        current = self._generations()
         with self._lock:
-            plan = self._plans.get(key)
-            return (
-                "warm"
-                if plan is not None and plan.generations == current
-                else "cold"
-            )
+            return "warm" if key in self._plans else "cold"
 
     def clear(self) -> int:
         """Drop every plan; returns how many were evicted."""
@@ -256,5 +205,4 @@ class PlanRegistry:
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
-                "invalidations": self.invalidations,
             }

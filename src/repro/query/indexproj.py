@@ -21,9 +21,7 @@ speed up their access in subsequent queries").
 
 from __future__ import annotations
 
-import contextvars
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
@@ -105,8 +103,31 @@ def build_plan(analysis: DepthAnalysis, query: LineageQuery) -> QueryPlan:
                 stack.append((arc.source, index))
     return QueryPlan(
         query=query,
-        trace_queries=tuple(planned),
+        trace_queries=_drop_subsumed(planned),
         visited_ports=len(visited),
+    )
+
+
+def _drop_subsumed(planned: Iterable[TraceQuery]) -> Tuple[TraceQuery, ...]:
+    """Keep only the shortest fragment of each prefix chain per port.
+
+    ``Q(P, X, p)`` matches every stored index that is a prefix or an
+    extension of ``p``, so when ``p`` prefixes ``q`` the matches of
+    ``Q(P, X, q)`` are a subset of those of ``Q(P, X, p)`` and the longer
+    lookup is redundant.  Insertion order of the survivors is kept.
+    """
+    planned = tuple(planned)
+    by_port: Dict[Tuple[str, str], List[Index]] = {}
+    for tq in planned:
+        by_port.setdefault((tq.processor, tq.port), []).append(tq.fragment)
+    if len(by_port) == len(planned):
+        return planned  # one lookup per port: nothing to subsume
+    return tuple(
+        tq for tq in planned
+        if not any(
+            len(other) < len(tq.fragment) and tq.fragment.starts_with(other)
+            for other in by_port[(tq.processor, tq.port)]
+        )
     )
 
 
@@ -277,39 +298,18 @@ class IndexProjEngine:
             for run_id in scope
             for tq in plan.trace_queries
         ]
-        collected: Dict[str, Dict[Tuple[str, str, str], Binding]] = {
-            run_id: {} for run_id in scope
-        }
         with self.obs.timer(
             "indexproj.execute_batched", runs=len(scope), keys=len(grid)
         ) as timer:
             answers = self._reader.find_xform_inputs_matching_many(
                 grid, stats, chunk_size=chunk_size
             )
-            for run_id, node, port, index in grid:
-                bucket = collected[run_id]
-                for binding in answers[(run_id, node, port, index.encode())]:
-                    bucket[binding.key()] = binding
-        elapsed = timer.seconds
+            collected = _demultiplex(scope, answers)
         if self.obs.enabled:
             self.obs.inc("indexproj.trace_lookups", len(grid))
             self.obs.inc("indexproj.batched_keys", len(grid))
-        per_run_results: Dict[str, LineageResult] = {}
-        for run_id in scope:
-            per_run_results[run_id] = LineageResult(
-                query=query,
-                run_id=run_id,
-                bindings=sorted(collected[run_id].values(), key=lambda b: b.key()),
-                stats=stats,
-                traversal_seconds=0.0,
-                lookup_seconds=elapsed / max(len(scope), 1),
-            )
-        return MultiRunResult(
-            query=query,
-            per_run=per_run_results,
-            traversal_seconds=plan_seconds,
-            lookup_seconds=elapsed,
-            wall_seconds=plan_seconds + elapsed,
+        return _grid_result(
+            query, collected, stats, plan_seconds, timer.seconds
         )
 
     def _compiled_registry(self) -> Any:
@@ -318,7 +318,7 @@ class IndexProjEngine:
             # this module, so the dependency must stay lazy here.
             from repro.query.compiled import PlanRegistry
 
-            self.plan_registry = PlanRegistry(self.store, obs=self.obs)
+            self.plan_registry = PlanRegistry(obs=self.obs)
         return self.plan_registry
 
     def _workflow_fingerprint(self) -> str:
@@ -338,12 +338,14 @@ class IndexProjEngine:
 
         The registry returns the pre-compiled
         :class:`~repro.query.compiled.CompiledPlan` for this query shape
-        (compiling on first sight or after a generation bump); execution
+        (compiling on first sight); execution
         is then the bare minimum — cross the frozen lookup constants with
         the run scope and hand the grid to the store's compiled
         primitive, which binds against prepared statements.  Answers are
         identical to :meth:`lineage_multirun` /
-        :meth:`lineage_multirun_batched`, per run.
+        :meth:`lineage_multirun_batched`, per run.  This is the path
+        :class:`~repro.service.ProvenanceService` executes every
+        INDEXPROJ query through.
         """
         scope = list(run_ids)
         registry = self._compiled_registry()
@@ -362,42 +364,16 @@ class IndexProjEngine:
             )
         stats = StoreStats()
         pairs = plan.pairs(scope)
-        collected: Dict[str, Dict[Tuple[str, str, str], Binding]] = {
-            run_id: {} for run_id in scope
-        }
         with self.obs.timer("indexproj.execute", runs=len(scope)) as timer:
-            if pairs:
-                answers = self._reader.find_xform_inputs_matching_compiled(
-                    pairs, stats, chunk_size=chunk_size
-                )
-                for run_id, lookup in pairs:
-                    bucket = collected[run_id]
-                    for binding in answers[
-                        (run_id, lookup[0], lookup[1], lookup[2])
-                    ]:
-                        bucket[binding.key()] = binding
-        elapsed = timer.seconds
+            answers = self._reader.find_xform_inputs_matching_compiled(
+                pairs, stats, chunk_size=chunk_size
+            )
+            collected = _demultiplex(scope, answers)
         if self.obs.enabled:
             self.obs.inc("indexproj.trace_lookups", len(pairs))
             self.obs.inc("indexproj.compiled_keys", len(pairs))
-        per_run_results: Dict[str, LineageResult] = {}
-        for run_id in scope:
-            per_run_results[run_id] = LineageResult(
-                query=query,
-                run_id=run_id,
-                bindings=sorted(
-                    collected[run_id].values(), key=lambda b: b.key()
-                ),
-                stats=stats,
-                traversal_seconds=0.0,
-                lookup_seconds=elapsed / max(len(scope), 1),
-            )
-        return MultiRunResult(
-            query=query,
-            per_run=per_run_results,
-            traversal_seconds=plan_seconds,
-            lookup_seconds=elapsed,
-            wall_seconds=plan_seconds + elapsed,
+        return _grid_result(
+            query, collected, stats, plan_seconds, timer.seconds
         )
 
     def lineage_multirun(
@@ -433,106 +409,50 @@ class IndexProjEngine:
             wall_seconds=plan_seconds + total_lookup,
         )
 
-    def lineage_multirun_parallel(
-        self,
-        run_ids: Iterable[str],
-        query: LineageQuery,
-        max_workers: Optional[int] = None,
-    ) -> MultiRunResult:
-        """Parallel multi-run execution on a thread pool.
 
-        The paper's Section 3.4 observation — one static traversal (s1) is
-        shared by every run in scope — is here exploited for *throughput*:
-        the single cached plan fans out across a ``ThreadPoolExecutor``,
-        and each worker executes the per-run lookups (s2) on its own
-        store connection.  Requires the store's concurrent read path
-        (file-backed stores read genuinely in parallel; in-memory stores
-        serialize internally, so parallelism degrades gracefully).
+def _demultiplex(
+    scope: List[str],
+    answers: Dict[Tuple[str, str, str, str], List[Binding]],
+) -> Dict[str, Dict[Tuple[str, str, str], Binding]]:
+    """Per-run binding sets of one grid answer, in scope order.
 
-        Workers take contiguous chunks of the run list and execute the
-        per-run lookups of their chunk sequentially — one worker, one
-        store connection, many runs — so pool task overhead is paid per
-        chunk, not per run, and the indexed per-run seeks (which SQLite
-        executes off the GIL) overlap across workers.  Answers are
-        identical to :meth:`lineage_multirun`, per run, regardless of
-        worker count or scheduling order.
-        """
-        scope = list(run_ids)
-        plan, plan_seconds = self.plan(query)
-        if not scope:
-            return MultiRunResult(
-                query=query,
-                per_run={},
-                traversal_seconds=plan_seconds,
-                lookup_seconds=0.0,
-                wall_seconds=plan_seconds,
-            )
-        workers = max_workers if max_workers is not None else min(8, len(scope))
-        workers = max(1, min(workers, len(scope)))
-        chunk_size = (len(scope) + workers - 1) // workers
-        chunks = [
-            scope[i : i + chunk_size] for i in range(0, len(scope), chunk_size)
-        ]
+    Grid lookups answer every requested key, keyed by ``(run_id, node,
+    port, encoded index)``, so the answer alone says which run each
+    binding belongs to.
+    """
+    collected: Dict[str, Dict[Tuple[str, str, str], Binding]] = {
+        run_id: {} for run_id in scope
+    }
+    for key_id, bindings in answers.items():
+        bucket = collected[key_id[0]]
+        for binding in bindings:
+            bucket[binding.key()] = binding
+    return collected
 
-        def run_chunk(chunk: List[str]) -> List[LineageResult]:
-            # Each chunk runs on a pool thread inside a copied context, so
-            # its span nests under ``indexproj.parallel_fanout`` — one
-            # request, one rooted tree, even across the fan-out.
-            results: List[LineageResult] = []
-            with self.obs.span("indexproj.chunk", runs=len(chunk)):
-                for run_id in chunk:
-                    stats = StoreStats()
-                    with self.obs.timer(
-                        "indexproj.execute", run=run_id
-                    ) as timer:
-                        bindings = self.execute_plan(plan, run_id, stats)
-                    results.append(
-                        LineageResult(
-                            query=query,
-                            run_id=run_id,
-                            bindings=bindings,
-                            stats=stats,
-                            traversal_seconds=0.0,
-                            lookup_seconds=timer.seconds,
-                        )
-                    )
-            return results
 
-        if self.obs.enabled:
-            self.obs.inc("indexproj.multirun_runs", len(scope))
-            self.obs.inc("indexproj.parallel_chunks", len(chunks))
-        with self.obs.timer(
-            "indexproj.parallel_fanout", workers=workers, runs=len(scope)
-        ) as fanout_timer:
-            if len(chunks) == 1:
-                outcomes = [run_chunk(chunks[0])]
-            else:
-                # One context copy per chunk (a single Context cannot be
-                # entered concurrently): each worker sees the fan-out span
-                # as its parent and continues the same trace.
-                tasks = [
-                    (contextvars.copy_context(), chunk) for chunk in chunks
-                ]
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    outcomes = list(
-                        pool.map(lambda t: t[0].run(run_chunk, t[1]), tasks)
-                    )
-        wall = fanout_timer.seconds
-
-        per_run_results: Dict[str, LineageResult] = {}
-        total_lookup = 0.0
-        for chunk_results in outcomes:
-            for result in chunk_results:
-                total_lookup += result.lookup_seconds
-                per_run_results[result.run_id] = result
-        # Preserve the caller's run order in the result mapping.
-        per_run_results = {
-            run_id: per_run_results[run_id] for run_id in scope
-        }
-        return MultiRunResult(
+def _grid_result(
+    query: LineageQuery,
+    collected: Dict[str, Dict[Tuple[str, str, str], Binding]],
+    stats: StoreStats,
+    plan_seconds: float,
+    elapsed: float,
+) -> MultiRunResult:
+    """A grid execution as per-run results sharing one ``StoreStats``."""
+    per_run = {
+        run_id: LineageResult(
             query=query,
-            per_run=per_run_results,
-            traversal_seconds=plan_seconds,
-            lookup_seconds=total_lookup,
-            wall_seconds=plan_seconds + wall,
+            run_id=run_id,
+            bindings=sorted(bindings.values(), key=lambda b: b.key()),
+            stats=stats,
+            traversal_seconds=0.0,
+            lookup_seconds=elapsed / max(len(collected), 1),
         )
+        for run_id, bindings in collected.items()
+    }
+    return MultiRunResult(
+        query=query,
+        per_run=per_run,
+        traversal_seconds=plan_seconds,
+        lookup_seconds=elapsed,
+        wall_seconds=plan_seconds + elapsed,
+    )

@@ -46,8 +46,8 @@ Query parameters of the lineage endpoints: ``index`` (dotted path),
 ``focus`` (comma-separated processors), ``view`` + ``groups`` (expand a
 registered :class:`~repro.query.views.UserView` into the focus set and
 roll the answer up to groups), ``strategy`` (``indexproj`` | ``naive`` |
-``auto``), ``cache`` / ``batch`` / ``precheck`` (booleans; ``batch`` also
-accepts a chunk size), and ``workers`` (parallel per-run fan-out).
+``auto``), and ``cache`` / ``precheck`` (booleans).  Unknown parameters
+are ignored.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ from repro.obs.export import to_prometheus
 from repro.obs.sink import SpanSink
 from repro.obs.tracer import format_traceparent, parse_traceparent
 from repro.obs.window import TimeWindow, parse_window
-from repro.provenance.store import BatchConfig
 from repro.query.base import LineageQuery
 from repro.query.parser import parse_query
 from repro.query.views import UserView, focus_for_groups
@@ -346,24 +345,11 @@ class ServerApp:
                 f"unknown strategy {strategy!r} "
                 "(want indexproj | naive | auto)",
             )
-        batch_text = request.param("batch")
-        batch: Any = None
-        if batch_text is not None:
-            lowered = batch_text.strip().lower()
-            if lowered in _TRUE or lowered in _FALSE:
-                batch = lowered in _TRUE
-            else:
-                batch = BatchConfig(
-                    chunk_size=_parse_int("batch", batch_text)
-                )
         precheck = _parse_bool("precheck", request.param("precheck"))
         return {
             "strategy": strategy,
             "cache": _parse_bool("cache", request.param("cache")),
-            "batch": batch,
-            "workers": _parse_int("workers", request.param("workers")),
             "precheck": True if precheck is None else precheck,
-            "compiled": _parse_bool("compiled", request.param("compiled")),
         }
 
     def _resolve_view(
@@ -459,11 +445,8 @@ class ServerApp:
                 query,
                 runs=runs,
                 strategy=options["strategy"],
-                batch=options["batch"],
-                workers=options["workers"],
                 precheck=options["precheck"],
                 cache=options["cache"],
-                compiled=options["compiled"],
             )
             return encode_result(result, view=view)
 
@@ -525,15 +508,7 @@ class ServerApp:
             raise BadRequest(
                 "bad-argument", f"unknown strategy {strategy!r}"
             )
-        batch_opt = body.get("batch")
-        if isinstance(batch_opt, int) and not isinstance(batch_opt, bool):
-            batch_opt = BatchConfig(chunk_size=batch_opt)
         cache = body.get("cache")
-        compiled = body.get("compiled")
-        if compiled is not None and not isinstance(compiled, bool):
-            raise BadRequest(
-                "bad-argument", "'compiled' must be a boolean"
-            )
         precheck = body.get("precheck", True)
         max_workers = body.get("max_workers", 4)
         if not isinstance(max_workers, int) or max_workers < 1:
@@ -549,10 +524,8 @@ class ServerApp:
                 max_workers=max_workers,
                 runs=runs,
                 strategy=strategy,
-                batch=batch_opt,
                 precheck=bool(precheck),
                 cache=cache,
-                compiled=compiled,
             )
             return {
                 "count": len(results),
@@ -618,9 +591,7 @@ class ServerApp:
                 "reasons": list(report.reasons),
                 "chosen_strategy": plan.chosen_strategy,
                 "cache_state": plan.cache_state,
-                "execution": plan.execution,
                 "plan_state": plan.plan_state,
-                "stmt_cache_hits": plan.stmt_cache_hits,
                 "round_trips": {
                     "unbatched": plan.unbatched_round_trips,
                     "batched": plan.batched_round_trips,

@@ -13,7 +13,6 @@ across queries and runs).
     service.register_workflow(flow)
     run_id = service.run("wf", {"size": 3})
     service.lineage("lin(<wf:out[1.2]>, {A, B})")       # all runs of wf
-    service.lineage("lin(<wf:out[1.2]>, {A, B})", workers=8)  # parallel s2
     service.lineage_many(queries, max_workers=8)        # concurrent batch
     service.impact("wf", "size", [], focus=["F"])
 
@@ -55,12 +54,13 @@ from repro.obs.core import NO_OBS, Observability
 from repro.provenance.capture import capture_run
 from repro.provenance.faults import FaultInjector
 from repro.provenance.store import (
-    BatchConfig,
     DuplicateRunError,
     RetryPolicy,
+    StoreBusyError,
     TraceStore,
 )
 from repro.query.base import LineageQuery, LineageResult, MultiRunResult
+from repro.query.compiled import PlanRegistry
 from repro.query.explain import QueryExplanation, explain as _explain
 from repro.query.impact import ImpactQuery, IndexProjImpactEngine
 from repro.query.indexproj import IndexProjEngine
@@ -70,6 +70,11 @@ from repro.workflow.depths import propagate_depths
 from repro.workflow.model import Dataflow, WorkflowError
 
 QueryLike = Union[str, LineageQuery]
+
+#: Executions of one whole-store query before a run set that keeps
+#: changing under it (concurrent ingest or ``delete_run``) is reported
+#: as :class:`~repro.provenance.store.StoreBusyError`.
+SCOPE_ATTEMPTS = 3
 
 
 class ProvenanceService:
@@ -92,7 +97,6 @@ class ProvenanceService:
         cache: Union[bool, CacheConfig, None] = True,
         store: Optional[Any] = None,
         shards: Optional[int] = None,
-        compiled: bool = True,
     ) -> None:
         #: Observability handle (``repro.obs``), threaded through the
         #: store, every runner, and both query strategies.  Pass an
@@ -147,20 +151,10 @@ class ProvenanceService:
         else:
             self._trace_cache = None
             self._result_cache = None
-        #: Compiled query plans (``repro.query.compiled``), on by
-        #: default: INDEXPROJ queries execute through a generation-aware
-        #: registry of pre-compiled programs instead of re-planning per
-        #: call.  ``compiled=False`` here disables the registry;
-        #: ``lineage(..., compiled=False)`` opts a single call out.
-        self.compiled_default = bool(compiled)
-        if self.compiled_default:
-            from repro.query.compiled import PlanRegistry
-
-            self._plan_registry: Optional[Any] = PlanRegistry(
-                self.store, obs=self.obs
-            )
-        else:
-            self._plan_registry = None
+        #: Compiled query plans (``repro.query.compiled``): every
+        #: INDEXPROJ query executes through this spec-keyed registry of
+        #: pre-compiled programs instead of re-planning per call.
+        self._plan_registry = PlanRegistry(obs=self.obs)
         #: Optional :class:`~repro.obs.slowlog.SlowQueryJournal`; when
         #: attached (constructor-independent — the server's registry sets
         #: it on lazily opened tenants), every :meth:`lineage` call whose
@@ -352,32 +346,27 @@ class ProvenanceService:
         runs: Optional[Iterable[str]] = None,
         strategy: str = "indexproj",
         focus: Iterable[str] = (),
-        batched: bool = False,
-        batch: Union[bool, "BatchConfig", None] = None,
-        workers: Optional[int] = None,
         precheck: bool = True,
         cache: Optional[bool] = None,
-        compiled: Optional[bool] = None,
     ) -> MultiRunResult:
         """Answer a lineage query over ``runs`` (default: every stored run
         of the owning workflow).
 
-        ``batch`` selects the set-based execution path: ``True`` (or a
-        :class:`~repro.provenance.store.BatchConfig` carrying a custom
-        chunk size) collapses the per-key SQL round-trips of either
-        strategy into chunked multi-key lookups — INDEXPROJ resolves the
-        whole ``plan × run-set`` grid in ``ceil(keys/chunk)`` statements,
-        NI traverses level-synchronously across all runs.  Answers are
-        identical to the unbatched path.  ``batch`` wins over
-        ``workers``; the legacy ``batched=True`` flag is kept as an alias
-        for ``batch=True``.
-
-        ``workers > 1`` fans the per-run trace lookups across a thread
-        pool sharing the single cached plan (INDEXPROJ only) — identical
-        answers, lower wall-clock on file-backed stores with many runs.
-
         ``strategy`` may be ``"indexproj"``, ``"naive"``, or ``"auto"``
         (pick by the static cost model, :mod:`repro.analysis.cost`).
+        Each strategy has one execution path: INDEXPROJ runs the query's
+        compiled program (:mod:`repro.query.compiled`; warm plans skip
+        (s1)) over the whole ``plan × run-set`` key grid in chunked
+        multi-key statements, and NI traverses level-synchronously
+        across all runs.  Answers are identical to the paper's per-run
+        loops (``lineage_multirun`` on either engine).
+
+        With the default scope, the run set is resolved and read under
+        one membership generation of the store: a query racing an ingest
+        or ``delete_run`` resolves its scope again and re-executes, and
+        after :data:`SCOPE_ATTEMPTS` moving run sets it raises
+        :class:`~repro.provenance.store.StoreBusyError`.  An answer never
+        names a run that was deleted before its reads finished.
 
         With ``precheck`` (the default), the query is first triaged on
         the workflow specification alone: queries with unresolvable names
@@ -394,32 +383,20 @@ class ProvenanceService:
         the result cache entirely for this call — neither consulted nor
         populated; ``cache=True`` on a cache-disabled service is a
         silent no-op.
-
-        ``compiled=None`` (default) executes INDEXPROJ queries through
-        the service's compiled-plan registry when it has one (warm plans
-        skip (s1) and bind prepared statements; see
-        :mod:`repro.query.compiled`) — unless explicit ``workers > 1``
-        asked for the parallel path.  ``compiled=False`` opts this call
-        out (interpreted execution); ``compiled=True`` forces the
-        compiled path, winning over ``workers``.  Answers are identical
-        either way.
         """
         slowlog = self.slowlog
         if not self.obs.enabled and slowlog is None:
             # Fast path: no tracing, no journal — zero added work.
             return self._lineage_impl(
                 query, runs=runs, strategy=strategy, focus=focus,
-                batched=batched, batch=batch, workers=workers,
-                precheck=precheck, cache=cache, compiled=compiled,
+                precheck=precheck, cache=cache,
             )
         meta: Dict[str, Any] = {}
         started = time.perf_counter()
         with self.obs.span("service.lineage") as span:
             result = self._lineage_impl(
                 query, runs=runs, strategy=strategy, focus=focus,
-                batched=batched, batch=batch, workers=workers,
-                precheck=precheck, cache=cache, compiled=compiled,
-                _meta=meta,
+                precheck=precheck, cache=cache, _meta=meta,
             )
             if span.sampled:
                 parsed = meta.get("parsed")
@@ -481,12 +458,8 @@ class ProvenanceService:
         runs: Optional[Iterable[str]] = None,
         strategy: str = "indexproj",
         focus: Iterable[str] = (),
-        batched: bool = False,
-        batch: Union[bool, "BatchConfig", None] = None,
-        workers: Optional[int] = None,
         precheck: bool = True,
         cache: Optional[bool] = None,
-        compiled: Optional[bool] = None,
         _meta: Optional[Dict[str, Any]] = None,
     ) -> MultiRunResult:
         parsed = self._as_query(query, focus)
@@ -494,15 +467,52 @@ class ProvenanceService:
             # The parsed object, not its rendering — callers format the
             # query text only when a sampled span or slowlog entry needs it.
             _meta["parsed"] = parsed
-        batch_config = BatchConfig.of(
-            batch if batch is not None else bool(batched)
-        )
         workflow_name = self._owning_workflow(parsed)
         if precheck:
             rejected = self._precheck(workflow_name, parsed, runs)
             if rejected is not None:
                 return rejected
-        scope = list(runs) if runs is not None else self.runs_of(workflow_name)
+        pinned = list(runs) if runs is not None else None
+        for _ in range(SCOPE_ATTEMPTS):
+            # Captured before the scope is resolved: if it still holds
+            # once the reads finish, scope and answer saw one run set.
+            membership = self.store.membership_generation
+            scope = (
+                pinned if pinned is not None else self.runs_of(workflow_name)
+            )
+            result, entry = self._execute(
+                workflow_name, parsed, scope, strategy, cache, _meta
+            )
+            if (
+                pinned is None
+                and self.store.membership_generation != membership
+            ):
+                continue
+            if entry is not None:
+                key, generations = entry
+                result.generations = generations
+                assert self._result_cache is not None
+                self._result_cache.put(key, result, generations)
+            return result
+        raise StoreBusyError(
+            SCOPE_ATTEMPTS,
+            RuntimeError(
+                f"the stored runs of {workflow_name!r} changed during "
+                f"each of {SCOPE_ATTEMPTS} executions"
+            ),
+        )
+
+    def _execute(
+        self,
+        workflow_name: str,
+        parsed: LineageQuery,
+        scope: List[str],
+        strategy: str,
+        cache: Optional[bool],
+        _meta: Optional[Dict[str, Any]],
+    ) -> Tuple[MultiRunResult, Optional[Tuple[ResultCacheKey, Any]]]:
+        """One answer over a resolved scope: a result-cache hit, or an
+        execution plus the ``(key, generations)`` to cache it under."""
         if strategy == "auto":
             strategy = _choose_strategy(
                 self._lineage_engines[workflow_name].analysis,
@@ -513,10 +523,8 @@ class ProvenanceService:
                 self.obs.inc(f"analysis.auto_{strategy}")
         if _meta is not None:
             _meta["strategy"] = strategy
-        use_cache = self._result_cache is not None and cache is not False
-        key: Optional[ResultCacheKey] = None
-        generations = None
-        if use_cache:
+        entry = None
+        if self._result_cache is not None and cache is not False:
             key = ResultCacheKey(
                 fingerprint=self._fingerprints[workflow_name],
                 strategy=strategy,
@@ -526,59 +534,20 @@ class ProvenanceService:
                 focus=parsed.focus,
                 runs=tuple(scope),
             )
-            assert self._result_cache is not None
             hit = self._result_cache.get(key, parsed)
             if hit is not None:
-                return hit
+                return hit, None
             # Miss: capture the scope's generation vector *before*
             # executing, so an entry built while a writer raced us
             # self-invalidates instead of serving stale data.
-            generations = self.store.generation_vector(scope)
+            entry = (key, self.store.generation_vector(scope))
         if strategy == "naive":
-            if batch_config.enabled:
-                result = self._naive.lineage_multirun_batched(
-                    scope, parsed, chunk_size=batch_config.chunk_size
-                )
-            else:
-                result = self._naive.lineage_multirun(scope, parsed)
+            result = self._naive.lineage_multirun_batched(scope, parsed)
         else:
-            engine = self._lineage_engines[workflow_name]
-            # Compiled execution is the INDEXPROJ default when the
-            # service owns a plan registry.  A compiled program already
-            # executes as one batched grid per level, so it subsumes
-            # ``batch`` (whose chunk size it honours); explicit
-            # ``workers > 1`` keeps the parallel path unless the caller
-            # forces ``compiled=True``.
-            use_compiled = (
-                compiled is True
-                or (compiled is None and self._plan_registry is not None)
-            ) and (
-                compiled is True or workers is None or workers <= 1
-            )
-            if use_compiled:
-                result = engine.lineage_multirun_compiled(
-                    scope, parsed,
-                    chunk_size=(
-                        batch_config.chunk_size
-                        if batch_config.enabled
-                        else None
-                    ),
-                )
-            elif batch_config.enabled:
-                result = engine.lineage_multirun_batched(
-                    scope, parsed, chunk_size=batch_config.chunk_size
-                )
-            elif workers is not None and workers > 1:
-                result = engine.lineage_multirun_parallel(
-                    scope, parsed, max_workers=workers
-                )
-            else:
-                result = engine.lineage_multirun(scope, parsed)
-        if use_cache and key is not None and generations is not None:
-            result.generations = generations
-            assert self._result_cache is not None
-            self._result_cache.put(key, result, generations)
-        return result
+            result = self._lineage_engines[
+                workflow_name
+            ].lineage_multirun_compiled(scope, parsed)
+        return result, entry
 
     def lineage_many(
         self,
@@ -587,10 +556,8 @@ class ProvenanceService:
         runs: Optional[Iterable[str]] = None,
         strategy: str = "indexproj",
         focus: Iterable[str] = (),
-        batch: Union[bool, "BatchConfig", None] = None,
         precheck: bool = True,
         cache: Optional[bool] = None,
-        compiled: Optional[bool] = None,
     ) -> List[MultiRunResult]:
         """Answer many lineage queries concurrently.
 
@@ -611,8 +578,7 @@ class ProvenanceService:
             return [
                 self.lineage(
                     q, runs=scope, strategy=strategy, focus=focus,
-                    batch=batch, precheck=precheck, cache=cache,
-                    compiled=compiled,
+                    precheck=precheck, cache=cache,
                 )
                 for q in query_list
             ]
@@ -628,8 +594,7 @@ class ProvenanceService:
             ctx, q = task
             return ctx.run(
                 self.lineage, q, runs=scope, strategy=strategy,
-                focus=focus, batch=batch, precheck=precheck, cache=cache,
-                compiled=compiled,
+                focus=focus, precheck=precheck, cache=cache,
             )
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -697,24 +662,12 @@ class ProvenanceService:
                 for candidate in ("indexproj", "naive")
             )
             cache_state = "warm" if warm else "cold"
-        plan_state: Optional[str] = None
-        execution = "interpreted"
-        stmt_hits = 0
-        if self._plan_registry is not None:
-            execution = "compiled"
-            plan_state = self._plan_registry.probe(
-                self._fingerprints[workflow_name], parsed
-            )
-            stmt_stats = getattr(
-                self.store, "statement_cache_stats", lambda: {}
-            )()
-            stmt_hits = stmt_stats.get("hits", 0)
         return _explain_plan(
             self._lineage_engines[workflow_name].analysis, parsed, run_count,
             cache_state=cache_state,
-            execution=execution,
-            plan_state=plan_state,
-            stmt_cache_hits=stmt_hits,
+            plan_state=self._plan_registry.probe(
+                self._fingerprints[workflow_name], parsed
+            ),
         )
 
     def statistics(self) -> Dict[str, int]:
@@ -739,11 +692,7 @@ class ProvenanceService:
             "trace_entries": self.cache_config.trace_entries,
             "trace_bytes": self.cache_config.trace_bytes,
         }
-        plans = (
-            self._plan_registry.stats()
-            if self._plan_registry is not None
-            else {}
-        )
+        plans = self._plan_registry.stats()
         if self._result_cache is None or self._trace_cache is None:
             return {
                 "enabled": False, "config": config,
@@ -767,11 +716,7 @@ class ProvenanceService:
         """
         with self._run_list_lock:
             self._run_list_memo.clear()
-        plans = (
-            self._plan_registry.clear()
-            if self._plan_registry is not None
-            else 0
-        )
+        plans = self._plan_registry.clear()
         if self._result_cache is None or self._trace_cache is None:
             return {"result": 0, "trace": 0, "plans": plans}
         return {

@@ -42,8 +42,7 @@ lookup primitives   ``find_xform_by_output(_many)``,
                     ``find_xform_outputs_matching_pattern``,
                     ``has_binding``
 maintenance seams   ``drop_indexes``, ``create_indexes``,
-                    ``has_indexes``, ``set_statement_audit``,
-                    ``statement_cache_stats``
+                    ``has_indexes``, ``set_statement_audit``
 ==================  ====================================================
 
 Not part of the protocol: the private SQL seams (``_conn``, ``_read``,
@@ -268,5 +267,3 @@ class StorageBackend(Protocol):
     def set_statement_audit(
         self, callback: Optional[Callable[[str], Any]]
     ) -> None: ...
-
-    def statement_cache_stats(self) -> Dict[str, int]: ...

@@ -555,16 +555,6 @@ class ShardedStore:
         for shard in self.shards:
             shard.set_statement_audit(callback)
 
-    def statement_cache_stats(self) -> Dict[str, int]:
-        """Prepared-statement reuse summed across shards (epoch = max)."""
-        merged = {"hits": 0, "misses": 0, "epoch": 0}
-        for shard in self.shards:
-            stats = shard.statement_cache_stats()
-            merged["hits"] += stats["hits"]
-            merged["misses"] += stats["misses"]
-            merged["epoch"] = max(merged["epoch"], stats["epoch"])
-        return merged
-
     # -- lookup primitives (single-run: route to the owning shard) -----------
 
     def find_xform_by_output(

@@ -35,9 +35,7 @@ class TestServiceWiring:
         with ProvenanceService(obs=obs) as service:
             service.register_workflow(diamond_flow)
             run_id = service.run("wf", {"size": 3})
-            # compiled=False: this test pins the *interpreted* strategy
-            # spans; the compiled path's counters have their own tests.
-            service.lineage(_query(), runs=[run_id], compiled=False)
+            service.lineage(_query(), runs=[run_id])
         snap = service.metrics_snapshot()
         counters = snap["counters"]
         assert counters["engine.runs"] == 1
@@ -45,7 +43,7 @@ class TestServiceWiring:
         assert counters["store.writes"] == 1
         assert counters["store.reads"] > 0
         assert counters["store.rows_fetched"] > 0
-        assert counters["indexproj.plan_cache_misses"] == 1
+        assert counters["compiled.plan_misses"] == 1
         names = {root.name for root in service.obs.span_roots()}
         assert "engine.run" in names
         # The query now roots at the service facade; the strategy's
@@ -75,11 +73,11 @@ class TestServiceWiring:
         with ProvenanceService(obs=obs, cache=False) as service:
             service.register_workflow(diamond_flow)
             run_id = service.run("wf", {"size": 3})
-            first = service.lineage(_query(), runs=[run_id], compiled=False)
-            second = service.lineage(_query(), runs=[run_id], compiled=False)
+            first = service.lineage(_query(), runs=[run_id])
+            second = service.lineage(_query(), runs=[run_id])
         counters = service.metrics_snapshot()["counters"]
-        assert counters["indexproj.plan_cache_misses"] == 1
-        assert counters["indexproj.plan_cache_hits"] == 1
+        assert counters["compiled.plan_misses"] == 1
+        assert counters["compiled.plan_hits"] == 1
         assert (
             first.per_run[run_id].bindings == second.per_run[run_id].bindings
         )
@@ -125,32 +123,6 @@ class TestTimingAgreement:
         assert snap["histograms"]["indexproj.trace_lookup_seconds"][
             "count"
         ] == lookups
-
-    def test_parallel_fanout_spans(self, diamond_flow, obs):
-        with ProvenanceService(obs=obs) as service:
-            service.register_workflow(diamond_flow)
-            runs = [service.run("wf", {"size": 3}) for _ in range(4)]
-            service.lineage(_query(), runs=runs, workers=2)
-        counters = service.metrics_snapshot()["counters"]
-        assert counters["indexproj.multirun_runs"] == 4
-        assert counters["indexproj.parallel_chunks"] == 2
-        # Context propagation keeps worker chunks inside the one query
-        # trace: they nest under the fan-out span, not as orphan roots.
-        roots = service.obs.span_roots()
-        assert not any(r.name == "indexproj.chunk" for r in roots)
-        fanouts = [
-            span
-            for root in roots
-            for span in root.walk()
-            if span.name == "indexproj.parallel_fanout"
-        ]
-        assert len(fanouts) == 1
-        chunks = [
-            c for c in fanouts[0].children if c.name == "indexproj.chunk"
-        ]
-        assert len(chunks) == 2
-        assert all(c.find("indexproj.execute") for c in chunks)
-        assert len({c.trace_id for c in chunks}) == 1
 
 
 class TestStoreAndFaults:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.provenance.store import BatchConfig
 from repro.query.indexproj import IndexProjEngine
 from repro.query.naive import NaiveEngine
 from repro.service import ProvenanceService
@@ -60,8 +59,8 @@ class TestBatchedEqualsUnbatched:
     @settings(max_examples=25, deadline=None)
     @given(seeds, strategies)
     def test_differential_service_with_caches(self, seed, strategy):
-        """Service-level: batched == unbatched through the cache stack,
-        cold and warm."""
+        """Service-level (batched NI, compiled INDEXPROJ) == the unbatched
+        engine loop, through the cache stack, cold and warm."""
         case = make_random_workflow(seed, max_processors=4)
         assume(estimated_instances(case) <= 150)
         query = query_pool(case)[0]
@@ -70,22 +69,23 @@ class TestBatchedEqualsUnbatched:
             service.register_workflow(case.flow)
             for _ in range(2):
                 service.run(case.flow.name, case.inputs)
-            reference = service.lineage(
+            scope = service.runs_of(case.flow.name)
+            engine = (
+                NaiveEngine(service.store)
+                if strategy == "naive"
+                else IndexProjEngine(service.store, case.flow)
+            )
+            reference = engine.lineage_multirun(scope, query)
+            cold = service.lineage(
                 query, strategy=strategy, precheck=False, cache=False
             )
-            for batch in (True, BatchConfig(chunk_size=2)):
-                cold = service.lineage(
-                    query, strategy=strategy, batch=batch,
-                    precheck=False, cache=False,
-                )
-                assert canonical(cold) == canonical(reference), (
-                    f"seed={seed} strategy={strategy} batch={batch}"
-                )
+            assert canonical(cold) == canonical(reference), (
+                f"seed={seed} strategy={strategy}"
+            )
             # Warm repeat through the trace cache: still identical, and
             # served without any store round-trip.
             warm = service.lineage(
-                query, strategy=strategy, batch=True,
-                precheck=False, cache=False,
+                query, strategy=strategy, precheck=False, cache=False
             )
             assert canonical(warm) == canonical(reference)
             assert warm.sql_queries == 0

@@ -111,8 +111,8 @@ class TestShardedEqualsSingleFile:
     @settings(max_examples=20, deadline=None)
     @given(seeds, shard_counts, strategies)
     def test_differential_service_with_caches(self, seed, shards, strategy):
-        """Service level, cache stack on: cold, batched and warm answers
-        over a sharded backend equal the single-file reference, and the
+        """Service level, cache stack on: cold and warm answers over a
+        sharded backend equal the single-file per-run reference, and the
         warm repeat costs zero store round-trips (the composed per-shard
         generation vector validates without SQL)."""
         case = make_random_workflow(seed, max_processors=4)
@@ -126,18 +126,19 @@ class TestShardedEqualsSingleFile:
             for svc in (single_svc, shard_svc):
                 svc.register_workflow(case.flow)
                 _fill(svc.store, captured)
-            reference = single_svc.lineage(
+            scope = single_svc.runs_of(case.flow.name)
+            engine = (
+                NaiveEngine(single_svc.store)
+                if strategy == "naive"
+                else IndexProjEngine(single_svc.store, case.flow)
+            )
+            reference = engine.lineage_multirun(scope, query)
+            cold = shard_svc.lineage(
                 query, strategy=strategy, precheck=False, cache=False
             )
-            for batch in (False, True):
-                cold = shard_svc.lineage(
-                    query, strategy=strategy, batch=batch,
-                    precheck=False, cache=False,
-                )
-                assert canonical(cold) == canonical(reference), (
-                    f"seed={seed} shards={shards} strategy={strategy} "
-                    f"batch={batch}"
-                )
+            assert canonical(cold) == canonical(reference), (
+                f"seed={seed} shards={shards} strategy={strategy}"
+            )
             warm = shard_svc.lineage(
                 query, strategy=strategy, precheck=False, cache=False
             )

@@ -17,7 +17,6 @@ from repro.analysis.planlint import PlanGuard
 from repro.provenance.capture import capture_run
 from repro.provenance.store import (
     DEFAULT_BATCH_CHUNK,
-    BatchConfig,
     StoreStats,
     TraceStore,
     batch_key_id,
@@ -51,21 +50,6 @@ def all_keys(store, run_ids, extra=()):
 
 def binding_keys(bindings):
     return [(b.ref.node, b.ref.port, b.index.encode(), b.value) for b in bindings]
-
-
-class TestBatchConfig:
-    def test_of_coercions(self):
-        assert BatchConfig.of(True) == BatchConfig()
-        assert not BatchConfig.of(False).enabled
-        assert not BatchConfig.of(None).enabled
-        config = BatchConfig(chunk_size=7)
-        assert BatchConfig.of(config) is config
-
-    def test_rejects_bad_values(self):
-        with pytest.raises(TypeError):
-            BatchConfig.of("yes")
-        with pytest.raises(ValueError):
-            BatchConfig(chunk_size=0)
 
 
 class TestDifferential:

@@ -1,10 +1,10 @@
-"""Differential tests: the concurrent query paths agree with sequential.
+"""Differential tests: the set-based and concurrent paths agree with sequential.
 
-The parallel fan-out (:meth:`IndexProjEngine.lineage_multirun_parallel`)
-and the concurrent batch API (:meth:`ProvenanceService.lineage_many`) are
-pure performance features — every answer must be bit-identical to what
-the sequential path returns, for any worker count, any run order, and any
-ordering of the query batch.  A fixed seed matrix of randomized workloads
+The compiled multi-run grid
+(:meth:`IndexProjEngine.lineage_multirun_compiled`) and the concurrent
+batch API (:meth:`ProvenanceService.lineage_many`) are pure performance
+features — every answer must be bit-identical to what the per-run loop
+returns, for any run order and any ordering of the query batch.  A fixed seed matrix of randomized workloads
 (the same generator the hypothesis properties use) pins that down
 deterministically.
 """
@@ -41,9 +41,9 @@ def _result_fingerprint(result):
     }
 
 
-class TestParallelMultirunAgreement:
+class TestMultirunAgreement:
     @pytest.mark.parametrize("seed", SEED_MATRIX)
-    def test_parallel_equals_sequential_on_random_workloads(
+    def test_compiled_equals_sequential_on_random_workloads(
         self, tmp_path, seed
     ):
         case = make_random_workflow(seed)
@@ -60,13 +60,13 @@ class TestParallelMultirunAgreement:
         for trial in range(3):
             query = random_query(case, captured, rng)
             sequential = engine.lineage_multirun(run_ids, query)
-            for workers in (2, 3, 4):
-                parallel = engine.lineage_multirun_parallel(
-                    run_ids, query, max_workers=workers
+            for chunk in (1, 3, None):
+                compiled = engine.lineage_multirun_compiled(
+                    run_ids, query, chunk_size=chunk
                 )
-                assert _result_fingerprint(parallel) == _result_fingerprint(
+                assert _result_fingerprint(compiled) == _result_fingerprint(
                     sequential
-                ), f"seed={seed} trial={trial} workers={workers}"
+                ), f"seed={seed} trial={trial} chunk={chunk}"
         store.close()
 
     @pytest.mark.parametrize("seed", SEED_MATRIX[:4])
@@ -83,14 +83,10 @@ class TestParallelMultirunAgreement:
             run_ids.append(captured.run_id)
         engine = IndexProjEngine(store, case.flow)
         query = random_query(case, captured, random.Random(seed))
-        forward = engine.lineage_multirun_parallel(
-            run_ids, query, max_workers=3
-        )
+        forward = engine.lineage_multirun_compiled(run_ids, query)
         shuffled = list(run_ids)
         random.Random(seed + 1).shuffle(shuffled)
-        backward = engine.lineage_multirun_parallel(
-            shuffled, query, max_workers=3
-        )
+        backward = engine.lineage_multirun_compiled(shuffled, query)
         # Result mapping follows the caller's order...
         assert list(forward.per_run) == run_ids
         assert list(backward.per_run) == shuffled
@@ -142,10 +138,16 @@ class TestLineageManyAgreement:
                 assert _result_fingerprint(result) == baseline[q], q
 
     def test_batch_with_parallel_runs_inside(self, service):
-        """lineage(workers=N) nested under lineage_many stays correct."""
-        sequential = service.lineage(self.QUERIES[0])
-        parallel = service.lineage(self.QUERIES[0], workers=4)
-        assert _result_fingerprint(parallel) == _result_fingerprint(sequential)
+        """Whole-store queries running side by side under lineage_many
+        each equal the sequential answer."""
+        sequential = service.lineage(self.QUERIES[0], cache=False)
+        parallel = service.lineage_many(
+            [self.QUERIES[0]] * 4, max_workers=4, cache=False
+        )
+        for result in parallel:
+            assert _result_fingerprint(result) == _result_fingerprint(
+                sequential
+            )
 
     def test_empty_batch(self, service):
         assert service.lineage_many([]) == []

@@ -11,7 +11,7 @@ and round-trip counters live in ``meta`` and are excluded.
 The suite reuses the property-test machinery: random executable
 workflows (``make_random_workflow``), random query bindings over ports
 that actually carry values (``random_query``), and runs the full cross
-product strategies x batching over >= 25 workflow/query cases — one
+product of strategies over >= 25 workflow/query cases — one
 HTTP tenant per workflow, all served by a single server instance.
 """
 
@@ -39,7 +39,6 @@ QUERIES_PER_CASE = 2
 RUNS_PER_CASE = 2
 
 STRATEGIES = ("indexproj", "naive", "auto")
-BATCHING = (False, True)
 
 
 def _generate_cases():
@@ -102,7 +101,7 @@ def _http_answer(client, query, **params):
 
 class TestLineageConformance:
     def test_http_matches_inprocess_every_strategy(self, world):
-        """>= 25 cases x {indexproj, naive, auto} x {batch on, off}."""
+        """>= 25 cases x {indexproj, naive, auto}."""
         url, cases, services = world
         compared = 0
         for tenant, _case, queries in cases:
@@ -110,25 +109,18 @@ class TestLineageConformance:
             with ServerClient(url, tenant=tenant) as client:
                 for query in queries:
                     for strategy in STRATEGIES:
-                        for batch in BATCHING:
-                            http = _http_answer(
-                                client, query,
-                                strategy=strategy,
-                                batch="true" if batch else "false",
-                                cache="false",
-                            )
-                            expected = oracle.lineage(
-                                query,
-                                strategy=strategy,
-                                batch=batch,
-                                cache=False,
-                            )
-                            assert canonical_bytes(
-                                http["answer"]
-                            ) == canonical_bytes(encode_answer(expected)), (
-                                f"{tenant}: {query} diverged under "
-                                f"strategy={strategy} batch={batch}"
-                            )
+                        http = _http_answer(
+                            client, query, strategy=strategy, cache="false",
+                        )
+                        expected = oracle.lineage(
+                            query, strategy=strategy, cache=False,
+                        )
+                        assert canonical_bytes(
+                            http["answer"]
+                        ) == canonical_bytes(encode_answer(expected)), (
+                            f"{tenant}: {query} diverged under "
+                            f"strategy={strategy}"
+                        )
                     compared += 1
         assert compared >= 25
 

@@ -109,14 +109,16 @@ class TestLineageEndpoint:
                 assert answers["indexproj"] == answers["auto"]
 
     def test_batch_parameter_accepts_chunk_size(self, diamond_service):
+        # The removed execution knobs (batch, workers, compiled) are
+        # unknown parameters now: accepted, ignored, same answer.
         with boot_server({"default": diamond_service}) as (url, _app):
             with ServerClient(url) as client:
-                plain = client.lineage(
-                    q="lin(<wf:out[0.1]>, {A, B})", batch="false"
-                )
+                plain = client.lineage(q="lin(<wf:out[0.1]>, {A, B})")
                 batched = client.lineage(
-                    q="lin(<wf:out[0.1]>, {A, B})", batch="8"
+                    q="lin(<wf:out[0.1]>, {A, B})", batch="8",
+                    workers="2", compiled="false",
                 )
+                assert batched.status == 200
                 assert batched.body["answer"] == plain.body["answer"]
                 assert (
                     batched.body["meta"]["sql_queries"]
@@ -160,7 +162,7 @@ class TestErrorMapping:
             ("/v1/lineage/-/wf/out", {"strategy": "magic"}, 400,
              "bad-argument"),
             ("/v1/lineage/-/wf/out", {"cache": "maybe"}, 400, "bad-argument"),
-            ("/v1/lineage/-/wf/out", {"workers": "many"}, 400,
+            ("/v1/lineage/-/wf/out", {"precheck": "maybe"}, 400,
              "bad-argument"),
             ("/v1/lineage/-/wf/out", {"groups": "branches"}, 400,
              "bad-argument"),

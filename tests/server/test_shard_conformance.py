@@ -4,7 +4,7 @@ A tenant whose :class:`~repro.service.ProvenanceService` sits on a
 :class:`~repro.storage.ShardedStore` must answer ``GET /v1/lineage``
 byte-identically (:func:`repro.server.codec.canonical_bytes`) to both
 the in-process service result and a sibling tenant holding the same
-traces in a single-file store — across strategies and batching.  The
+traces in a single-file store — across strategies.  The
 ``/v1/stats`` endpoint additionally has to expose the per-shard rollup
 so operators can see the fan-out topology behind a tenant.
 """
@@ -30,7 +30,6 @@ RUNS_PER_CASE = 3
 NUM_SHARDS = 3
 
 STRATEGIES = ("indexproj", "naive")
-BATCHING = (False, True)
 
 
 def _generate_cases():
@@ -112,23 +111,18 @@ class TestShardedTenantConformance:
             with ServerClient(url, tenant=f"{tenant}-sharded") as client:
                 for query in queries:
                     for strategy in STRATEGIES:
-                        for batch in BATCHING:
-                            http = _http_answer(
-                                client, query,
-                                strategy=strategy,
-                                batch="true" if batch else "false",
-                                cache="false",
-                            )
-                            expected = oracle.lineage(
-                                query, strategy=strategy,
-                                batch=batch, cache=False,
-                            )
-                            assert canonical_bytes(
-                                http["answer"]
-                            ) == canonical_bytes(encode_answer(expected)), (
-                                f"{tenant}-sharded: {query} diverged under "
-                                f"strategy={strategy} batch={batch}"
-                            )
+                        http = _http_answer(
+                            client, query, strategy=strategy, cache="false",
+                        )
+                        expected = oracle.lineage(
+                            query, strategy=strategy, cache=False,
+                        )
+                        assert canonical_bytes(
+                            http["answer"]
+                        ) == canonical_bytes(encode_answer(expected)), (
+                            f"{tenant}-sharded: {query} diverged under "
+                            f"strategy={strategy}"
+                        )
                     compared += 1
         assert compared >= WORKFLOW_COUNT * QUERIES_PER_CASE
 

@@ -72,7 +72,7 @@ class TestOneRequestOneTree:
         """Satellite regression: no orphan roots, ever."""
         with boot_telemetry_server(tmp_path) as (url, server):
             with ServerClient(url) as client:
-                response = client.lineage(q=QUERY, workers="2")
+                response = client.lineage(q=QUERY)
                 assert response.status == 200
                 trace_id = response.trace_id
                 assert trace_id is not None and len(trace_id) == 32
@@ -90,9 +90,9 @@ class TestOneRequestOneTree:
                 assert any(
                     n.startswith(("store.", "cache.")) for n in names
                 ), f"no store/cache spans in tree: {names}"
-                # workers=2 fans out across threads; the chunks must land
-                # INSIDE this tree, not as orphan roots.
-                assert "indexproj.chunk" in names
+                # The compiled plan lookup, run on a pool thread, lands
+                # INSIDE this tree, not as an orphan root.
+                assert "indexproj.plan" in names
                 # One trace id end to end, parent links intact.
                 assert all(s["trace_id"] == trace_id for s in spans)
                 for span in spans:

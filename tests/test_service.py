@@ -83,11 +83,9 @@ class TestQueries:
         query = "lin(<F:y[2.1]>, {A, B})"
         fast = service.lineage(query)
         naive = service.lineage(query, strategy="naive")
-        batched = service.lineage(query, batched=True)
         for run_id in fast.per_run:
             keys = fast.per_run[run_id].binding_keys()
             assert naive.per_run[run_id].binding_keys() == keys
-            assert batched.per_run[run_id].binding_keys() == keys
 
     def test_run_scope_restriction(self, service):
         first = service.run("wf", {"size": 2})
@@ -233,3 +231,85 @@ class TestDuplicateRunIds:
                 t.join()
             assert sorted(outcomes) == ["lost", "won"]
             assert svc.runs_of("wf") == ["contested"]
+
+
+class TestWholeStoreConsistency:
+    """A default-scope answer is computed over one consistent run set."""
+
+    QUERY = "lin(<wf:out[1.1]>, {GEN, A, B})"
+
+    def _hook_runs_of(self, monkeypatch, service, writes):
+        """After each of the first ``len(writes)`` scope resolutions, run
+        the next write: it lands between resolving the scope and
+        reading it."""
+        resolve = service.runs_of
+        pending = list(writes)
+
+        def runs_of(workflow_name):
+            scope = resolve(workflow_name)
+            if pending:
+                pending.pop(0)()
+            return scope
+
+        monkeypatch.setattr(service, "runs_of", runs_of)
+
+    @pytest.mark.parametrize("cache", [True, False])
+    def test_run_deleted_after_scope_resolution_is_not_answered(
+        self, monkeypatch, cache
+    ):
+        with ProvenanceService(cache=cache) as service:
+            service.register_workflow(build_diamond_workflow())
+            runs = [service.run("wf", {"size": 2}) for _ in range(3)]
+            victim = runs[-1]
+            self._hook_runs_of(
+                monkeypatch, service, [lambda: service.store.delete_run(victim)]
+            )
+            answer = service.lineage(self.QUERY)
+            assert list(answer.per_run) == runs[:-1]
+            naive = service.lineage(self.QUERY, strategy="naive", cache=False)
+            assert answer.binding_keys_by_run() == naive.binding_keys_by_run()
+            # The result built over the stale run set never reached the
+            # result cache: a repeat is served from the retried entry.
+            repeat = service.lineage(self.QUERY)
+            assert victim not in repeat.per_run
+            if cache:
+                assert repeat.from_cache
+                assert service.cache_stats()["result"]["entries"] == 1
+
+    def test_run_set_moving_on_every_attempt_raises_busy(self, monkeypatch):
+        from repro.provenance.store import StoreBusyError
+        from repro.service import SCOPE_ATTEMPTS
+
+        with ProvenanceService() as service:
+            service.register_workflow(build_diamond_workflow())
+            service.run("wf", {"size": 2})
+            self._hook_runs_of(
+                monkeypatch, service,
+                [lambda: service.run("wf", {"size": 2})] * SCOPE_ATTEMPTS,
+            )
+            with pytest.raises(StoreBusyError):
+                service.lineage(self.QUERY)
+            assert service.cache_stats()["result"]["entries"] == 0
+
+    def test_pinned_scope_is_not_retried(self, monkeypatch):
+        with ProvenanceService() as service:
+            service.register_workflow(build_diamond_workflow())
+            runs = [service.run("wf", {"size": 2}) for _ in range(2)]
+            original = service.store.generation_vector
+            calls = []
+
+            def generation_vector(scope):
+                # The result cache captures the whole scope's vector once
+                # per execution (the trace cache asks per run).
+                if list(scope) == runs:
+                    calls.append(scope)
+                    if len(calls) == 1:
+                        service.run("wf", {"size": 2})  # unrelated ingest
+                return original(scope)
+
+            monkeypatch.setattr(
+                service.store, "generation_vector", generation_vector
+            )
+            answer = service.lineage(self.QUERY, runs=runs)
+            assert list(answer.per_run) == runs
+            assert len(calls) == 1

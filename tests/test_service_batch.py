@@ -1,12 +1,11 @@
 """Service and CLI surface of the set-based batched read path.
 
-Covers the ``batch=bool|BatchConfig`` parameter on
-``ProvenanceService.lineage``/``lineage_many``, the round-trip
-accounting on ``MultiRunResult`` (``aggregate_stats``/``sql_queries``),
-the ISSUE 5 acceptance shape — a 20-run focused-PD query answered in
-``ceil(keys/chunk)`` round-trips with bindings identical to the
-unbatched path — and the ``--batch/--no-batch/--batch-size`` CLI flags
-with the ``--verbose`` round-trip printout.
+The service executes every query set-based — compiled INDEXPROJ grids,
+level-synchronous NI — and these tests pin it against the engines'
+per-run loops: identical bindings, the round-trip accounting on
+``MultiRunResult`` (``aggregate_stats``/``sql_queries``), the acceptance
+shape of a 20-run focused-PD query answered in ``ceil(keys/chunk)``
+round-trips, and the CLI's ``--verbose`` round-trip printout.
 """
 
 from __future__ import annotations
@@ -17,15 +16,15 @@ import re
 import pytest
 
 from repro.cli import main
-from repro.provenance.store import (
-    DEFAULT_BATCH_CHUNK,
-    BatchConfig,
-    StoreStats,
-)
-from repro.query.base import LineageResult, MultiRunResult
-from repro.query.indexproj import build_plan
+from repro.provenance.store import DEFAULT_BATCH_CHUNK, StoreStats, TraceStore
+from repro.query.base import LineageQuery, LineageResult, MultiRunResult
+from repro.query.indexproj import IndexProjEngine, build_plan
+from repro.query.naive import NaiveEngine
 from repro.service import ProvenanceService
-from repro.testbed.workloads import protein_discovery_workload
+from repro.testbed.workloads import (
+    genes2kegg_workload,
+    protein_discovery_workload,
+)
 from repro.workflow.depths import propagate_depths
 
 
@@ -42,64 +41,63 @@ def pd_service(tmp_path_factory):
     service.close()
 
 
+def _engine(workload, service):
+    return IndexProjEngine(service.store, workload.flow)
+
+
 class TestServiceBatchParam:
     def test_batch_true_matches_unbatched(self, pd_service):
         workload, service = pd_service
         query = workload.focused_query()
-        reference = service.lineage(query)
-        batched = service.lineage(query, batch=True)
+        reference = _engine(workload, service).lineage_multirun(
+            service.runs_of(workload.flow.name), query
+        )
+        batched = service.lineage(query)
         assert (
             batched.binding_keys_by_run() == reference.binding_keys_by_run()
         )
 
     def test_batch_config_chunk_size(self, pd_service):
         workload, service = pd_service
-        query = workload.focused_query()
-        batched = service.lineage(query, batch=BatchConfig(chunk_size=7))
+        batched = _engine(workload, service).lineage_multirun_compiled(
+            service.runs_of(workload.flow.name), workload.focused_query(),
+            chunk_size=7,
+        )
         assert batched.aggregate_stats().batch_chunk_size == 7
 
     def test_batch_naive_strategy(self, pd_service):
         workload, service = pd_service
         query = workload.focused_query()
-        reference = service.lineage(query, strategy="naive")
-        batched = service.lineage(query, strategy="naive", batch=True)
+        reference = NaiveEngine(service.store).lineage_multirun(
+            service.runs_of(workload.flow.name), query
+        )
+        batched = service.lineage(query, strategy="naive")
         assert (
             batched.binding_keys_by_run() == reference.binding_keys_by_run()
         )
         assert batched.sql_queries < reference.sql_queries
 
-    def test_batch_wins_over_workers(self, pd_service):
-        workload, service = pd_service
-        query = workload.focused_query()
-        result = service.lineage(query, batch=True, workers=4)
-        # The batched path shares one stats object across runs; the
-        # parallel path would have per-run stats objects.
-        stats_ids = {id(r.stats) for r in result.per_run.values()}
-        assert len(stats_ids) == 1
-
-    def test_legacy_batched_flag_still_works(self, pd_service):
-        workload, service = pd_service
-        query = workload.focused_query()
-        result = service.lineage(query, batched=True)
-        assert result.aggregate_stats().batch_lookups > 0
-
     def test_batch_rejects_garbage(self, pd_service):
+        # The batch knob is gone: every execution is set-based, and the
+        # service accepts no option to choose otherwise.
         workload, service = pd_service
         with pytest.raises(TypeError):
             service.lineage(workload.focused_query(), batch="always")
 
     def test_lineage_many_batched(self, pd_service):
         workload, service = pd_service
+        engine = _engine(workload, service)
+        scope = service.runs_of(workload.flow.name)
         queries = [workload.focused_query(), workload.unfocused_query()]
-        unbatched = service.lineage_many(queries)
-        batched = service.lineage_many(queries, batch=True)
-        for got, want in zip(batched, unbatched):
+        batched = service.lineage_many(queries)
+        for got, query in zip(batched, queries):
+            want = engine.lineage_multirun(scope, query)
             assert got.binding_keys_by_run() == want.binding_keys_by_run()
             assert got.sql_queries <= want.sql_queries
 
 
 class TestAcceptance:
-    """ISSUE 5: 20-run focused PD in O(ceil(keys/chunk)) round-trips."""
+    """20-run focused PD in O(ceil(keys/chunk)) round-trips."""
 
     def test_focused_pd_round_trip_collapse(self, pd_service):
         workload, service = pd_service
@@ -107,17 +105,18 @@ class TestAcceptance:
         analysis = propagate_depths(workload.flow.flattened())
         plan = build_plan(analysis, query)
         keys = len(plan) * 20
+        engine = _engine(workload, service)
+        scope = service.runs_of(workload.flow.name)
         for chunk in (DEFAULT_BATCH_CHUNK, 4):
-            batched = service.lineage(
-                query, batch=BatchConfig(chunk_size=chunk)
+            batched = engine.lineage_multirun_compiled(
+                scope, query, chunk_size=chunk
             )
             assert batched.sql_queries == math.ceil(keys / chunk)
-        # compiled=False: this acceptance pins the *interpreted* per-key
-        # round-trip count (compiled execution would collapse it to the
-        # batched shape by default).
-        unbatched = service.lineage(query, compiled=False)
+        # The paper's per-run loop: one round-trip per key.
+        unbatched = engine.lineage_multirun(scope, query)
         assert unbatched.sql_queries == keys
-        batched = service.lineage(query, batch=True)
+        batched = service.lineage(query)
+        assert batched.sql_queries == math.ceil(keys / DEFAULT_BATCH_CHUNK)
         assert (
             batched.binding_keys_by_run() == unbatched.binding_keys_by_run()
         )
@@ -181,28 +180,46 @@ class TestCliBatch:
         head = ["--verbose"] if verbose else []
         return [*head, "query", "--db", db, *self.QUERY_ARGS, *extra]
 
-    def test_batch_flag_runs(self, gk_db, capsys):
-        capsys.readouterr()
-        assert main(self._query(gk_db, "--batch")) == 0
-        out = capsys.readouterr().out
-        assert "query: lin(" in out
-
     def test_batch_and_no_batch_answers_agree(self, gk_db, capsys):
+        """The CLI's set-based answer equals the engine's per-run loop."""
         capsys.readouterr()
-        assert main(self._query(gk_db, "--no-batch")) == 0
-        plain = capsys.readouterr().out
-        assert main(self._query(gk_db, "--batch")) == 0
-        batched = capsys.readouterr().out
+        assert main(self._query(gk_db)) == 0
+        printed = [
+            line.split("  = ")[0].strip()
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("  ")
+        ]
+        workload = genes2kegg_workload()
+        with TraceStore(gk_db) as store:
+            looped = IndexProjEngine(store, workload.flow).lineage_multirun(
+                store.run_ids(),
+                LineageQuery.create(
+                    "genes2kegg", "paths_per_gene", [0],
+                    ["get_pathways_by_genes"],
+                ),
+            )
+        assert printed == [
+            str(binding)
+            for result in looped.per_run.values()
+            for binding in result.bindings
+        ]
+
+    def test_indexproj_and_naive_answers_agree(self, gk_db, capsys):
+        capsys.readouterr()
+        assert main(self._query(gk_db)) == 0
+        indexproj = capsys.readouterr().out
+        assert main(self._query(gk_db, "--strategy", "naive")) == 0
+        naive = capsys.readouterr().out
         # Identical bindings, line for line.
         assert [
-            line for line in plain.splitlines() if line.startswith("  ")
+            line for line in indexproj.splitlines() if line.startswith("  ")
         ] == [
-            line for line in batched.splitlines() if line.startswith("  ")
+            line for line in naive.splitlines() if line.startswith("  ")
         ]
 
     def test_verbose_prints_round_trips(self, gk_db, capsys):
         capsys.readouterr()
-        assert main(self._query(gk_db, "--batch", verbose=True)) == 0
+        assert main(self._query(gk_db, verbose=True)) == 0
         out = capsys.readouterr().out
         match = re.search(
             r"sql round-trips: (\d+) \((\d+) rows, (\d+) batched statements "
@@ -214,36 +231,8 @@ class TestCliBatch:
         assert int(match.group(4)) == 5  # 1 planned lookup x 5 runs
         assert int(match.group(5)) == DEFAULT_BATCH_CHUNK
 
-    def test_verbose_unbatched_round_trips(self, gk_db, capsys):
-        # --no-compiled: pins the interpreted one-query-per-key shape
-        # (compiled execution collapses these into one grid statement).
-        capsys.readouterr()
-        assert main(self._query(gk_db, "--no-compiled", verbose=True)) == 0
-        out = capsys.readouterr().out
-        match = re.search(r"sql round-trips: (\d+) \((\d+) rows\)", out)
-        assert match is not None
-        assert int(match.group(1)) == 5
-
-    def test_batch_size_implies_batch(self, gk_db, capsys):
-        capsys.readouterr()
-        assert main(
-            self._query(gk_db, "--batch-size", "2", verbose=True)
-        ) == 0
-        out = capsys.readouterr().out
-        match = re.search(
-            r"(\d+) batched statements covering (\d+) lookup keys "
-            r"\(chunk=(\d+)\)",
-            out,
-        )
-        assert match is not None
-        # 5 keys at chunk 2 -> 3 statements.
-        assert int(match.group(1)) == 3
-        assert int(match.group(3)) == 2
-
     def test_batch_naive_strategy_cli(self, gk_db, capsys):
         capsys.readouterr()
-        assert main(
-            self._query(gk_db, "--batch", "--strategy", "naive")
-        ) == 0
+        assert main(self._query(gk_db, "--strategy", "naive")) == 0
         out = capsys.readouterr().out
         assert "query: lin(" in out

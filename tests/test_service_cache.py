@@ -54,13 +54,15 @@ class TestWarmRepeats:
         assert warm.generations == service.store.generation_vector(scope)
 
     def test_execution_modes_share_one_entry(self, service):
+        # A query object and its text form, with or without the static
+        # precheck, execute the same way and share one cache entry.
         sequential = service.lineage(_query())
-        batched = service.lineage(_query(), batched=True)
-        parallel = service.lineage(_query(), workers=4)
-        assert batched.from_cache and parallel.from_cache
+        unchecked = service.lineage(_query(), precheck=False)
+        text = service.lineage(str(_query()))
+        assert unchecked.from_cache and text.from_cache
         assert (
-            batched.binding_keys_by_run()
-            == parallel.binding_keys_by_run()
+            unchecked.binding_keys_by_run()
+            == text.binding_keys_by_run()
             == sequential.binding_keys_by_run()
         )
 

@@ -7,11 +7,15 @@ least-recently-used eviction and predicate invalidation.  All mutation
 happens under one internal lock, so a cache may be hammered by the
 service's reader pool while a writer thread evicts behind it.
 
-Size accounting uses :func:`approx_size` — a recursive
-``sys.getsizeof`` walk that shares identity-deduplicated payloads (the
-store memoizes decoded JSON values across rows, so charging them once
-mirrors their real footprint).  The estimate is deliberately cheap and
-approximate; the budget exists to bound memory, not to measure it.
+Lineage payloads (tuples of bindings, xform matches or
+``(binding, index)`` pairs) are charged by :func:`bindings_size`: a flat
+per-item constant plus the item's own strings and value, in one pass
+over the payload.  Everything else falls back to :func:`approx_size` — a
+recursive ``sys.getsizeof`` walk that charges identity-shared objects
+once (the store memoizes decoded JSON values across rows, so charging
+them once mirrors their real footprint).  Both estimates are
+deliberately cheap and approximate; the budget exists to bound memory,
+not to measure it.
 """
 
 from __future__ import annotations
@@ -19,7 +23,12 @@ from __future__ import annotations
 import sys
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+
+from repro.engine.events import Binding
+from repro.provenance.store import XformMatch
+from repro.values.index import Index
+from repro.workflow.model import PortRef
 
 
 def approx_size(obj: Any, _seen: Optional[Set[int]] = None) -> int:
@@ -48,6 +57,70 @@ def approx_size(obj: Any, _seen: Optional[Set[int]] = None) -> int:
     slots = getattr(type(obj), "__slots__", ())
     for name in slots:
         size += approx_size(getattr(obj, name, None), seen)
+    return size
+
+
+#: Value types charged by ``sys.getsizeof`` alone (no walk, no dedup).
+_SCALARS = frozenset({str, bytes, int, float, bool, type(None)})
+
+#: Flat charges, measured once on probe objects.  A binding's own
+#: objects are the Binding, its PortRef and two name strings (their
+#: lengths are charged per binding); its value is charged per binding
+#: and its index once per distinct object, since decoded indexes are
+#: shared (``Index.decode``).  A match is an XformMatch and its int, a
+#: pair the tuple of a ``(binding, index)`` item.
+_INDEX_BYTES = approx_size(Index())
+_BINDING_BYTES = (
+    approx_size(Binding(PortRef("n", "p"), Index()))
+    - len("n") - len("p") - _INDEX_BYTES - sys.getsizeof(None)
+)
+_MATCH_BYTES = approx_size(XformMatch(0, Index())) - _INDEX_BYTES
+_PAIR_BYTES = sys.getsizeof((None, None))
+
+
+def bindings_size(
+    bindings: Sequence[Any], seen: Optional[Set[int]] = None
+) -> int:
+    """Approximate size of a lineage payload in bytes, in O(items).
+
+    ``bindings`` holds :class:`Binding` objects, :class:`XformMatch`
+    objects or ``(Binding, Index)`` pairs.  Each binding costs a flat
+    constant plus its node and port name lengths plus its value:
+    ``sys.getsizeof`` for scalars and strings, :func:`approx_size` for a
+    container.  Indexes and containers are charged once per distinct
+    object; ``seen`` carries the identities already charged, so a
+    caller may share it across payloads.
+    """
+    if seen is None:
+        seen = set()
+    size = sys.getsizeof(bindings)
+    for item in bindings:
+        kind = type(item)
+        if kind is XformMatch:
+            size += _MATCH_BYTES
+            index = item.output_index
+        else:
+            if kind is tuple:
+                size += _PAIR_BYTES
+                index = item[1]
+                if id(index) not in seen:
+                    seen.add(id(index))
+                    size += _INDEX_BYTES
+                item = item[0]
+            elif kind is not Binding:
+                size += approx_size(item, seen)
+                continue
+            ref = item.ref
+            value = item.value
+            size += _BINDING_BYTES + len(ref.node) + len(ref.port)
+            if type(value) in _SCALARS:
+                size += sys.getsizeof(value)
+            else:
+                size += approx_size(value, seen)
+            index = item.index
+        if id(index) not in seen:
+            seen.add(id(index))
+            size += _INDEX_BYTES
     return size
 
 
@@ -100,6 +173,22 @@ class LRUCache:
             self._entries.move_to_end(key)
             self.hits += 1
             return entry[0]
+
+    def get_many(self, keys: Sequence[Any]) -> List[Any]:
+        """:meth:`get` for every key, under one acquisition of the lock."""
+        values: List[Any] = []
+        with self._lock:
+            entries = self._entries
+            for key in keys:
+                entry = entries.get(key)
+                if entry is None:
+                    self.misses += 1
+                    values.append(MISSING)
+                    continue
+                entries.move_to_end(key)
+                self.hits += 1
+                values.append(entry[0])
+        return values
 
     def peek(self, key: Any) -> Any:
         """Like :meth:`get` but without counters or recency update."""

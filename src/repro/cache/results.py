@@ -24,11 +24,12 @@ snapshot.  Binding *payloads* follow the store's read-only contract.
 
 from __future__ import annotations
 
+import sys
 import threading
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Tuple
 
-from repro.cache.lru import MISSING, LRUCache
+from repro.cache.lru import MISSING, LRUCache, approx_size, bindings_size
 from repro.engine.events import Binding
 from repro.obs.core import NO_OBS, Observability
 from repro.provenance.store import StoreStats, TraceStore
@@ -159,7 +160,19 @@ class LineageResultCache:
             (run_id, tuple(run_result.bindings))
             for run_id, run_result in result.per_run.items()
         )
-        self._lru.put(key, (generations, snapshot))
+        # Charged flat per binding; one ``seen`` set across the runs
+        # charges a value payload shared between runs once.
+        seen: set = set()
+        size = (
+            sys.getsizeof(snapshot)
+            + approx_size(generations)
+            + sum(
+                sys.getsizeof(pair) + sys.getsizeof(pair[0])
+                + bindings_size(pair[1], seen)
+                for pair in snapshot
+            )
+        )
+        self._lru.put(key, (generations, snapshot), size=size)
         self._sync_obs()
 
     def _rebuild(

@@ -27,7 +27,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.cache.lru import MISSING, LRUCache
+from repro.cache.lru import MISSING, LRUCache, approx_size, bindings_size
 from repro.engine.events import Binding
 from repro.obs.core import NO_OBS, Observability
 from repro.provenance.store import (
@@ -39,6 +39,11 @@ from repro.provenance.store import (
     compiled_pair_id,
 )
 from repro.values.index import Index
+
+
+#: Bytes an entry charges around its payload: the ``(generations,
+#: payload)`` pair and a one-run generation vector.
+_ENTRY_BYTES = approx_size(((0, (0,)), ())) - approx_size(())
 
 
 class TraceReadCache:
@@ -77,14 +82,24 @@ class TraceReadCache:
             self._lru.invalidate_where(lambda key: key[1] == run_id)
         self._sync_obs()
 
-    def _record(self, hit: bool) -> None:
+    def _record(self, hits: int, misses: int) -> None:
         with self._counter_lock:
-            if hit:
-                self.hits += 1
-            else:
-                self.misses += 1
+            self.hits += hits
+            self.misses += misses
         if self.obs.enabled:
-            self.obs.inc("cache.trace_hits" if hit else "cache.trace_misses")
+            if hits:
+                self.obs.inc("cache.trace_hits", hits)
+            if misses:
+                self.obs.inc("cache.trace_misses", misses)
+
+    def _put(
+        self, key: Tuple[Any, ...], generations: Any, payload: Tuple[Any, ...]
+    ) -> None:
+        self._lru.put(
+            key,
+            (generations, payload),
+            size=_ENTRY_BYTES + bindings_size(payload),
+        )
 
     def _sync_obs(self) -> None:
         if not self.obs.enabled:
@@ -109,17 +124,17 @@ class TraceReadCache:
         if entry is not MISSING:
             generations, payload = entry
             if generations == self.store.generation_vector((run_id,)):
-                self._record(hit=True)
+                self._record(1, 0)
                 return list(payload)
             # Stale under the current generation vector: drop and refetch.
             self._lru.discard(key)
-        self._record(hit=False)
+        self._record(0, 1)
         # Capture *before* the read: a write landing mid-read leaves the
         # entry tagged with the older vector, so the next validation
         # refuses it — conservative, never incoherent.
         generations = self.store.generation_vector((run_id,))
         payload = tuple(fetch())
-        self._lru.put(key, (generations, payload))
+        self._put(key, generations, payload)
         self._sync_obs()
         return list(payload)
 
@@ -165,20 +180,16 @@ class TraceReadCache:
         costs exactly one SQL query however many runs are already warm.
         """
         resolved: Dict[str, List[Binding]] = {}
-        missing: List[str] = []
-        for run_id in run_ids:
-            key = ("xform_in_match", run_id, node, port, index.encode())
-            entry = self._lru.get(key)
-            if entry is not MISSING:
-                generations, payload = entry
-                if generations == self.store.generation_vector((run_id,)):
-                    self._record(hit=True)
-                    if payload:
-                        resolved[run_id] = list(payload)
-                    continue
-                self._lru.discard(key)
-            self._record(hit=False)
-            missing.append(run_id)
+        encoded = index.encode()
+        probes = [
+            (("xform_in_match", run_id, node, port, encoded), run_id)
+            for run_id in run_ids
+        ]
+        hits, miss_ords = self.get_many(probes)
+        for ord_, payload in hits.items():
+            if payload:
+                resolved[probes[ord_][1]] = list(payload)
+        missing = [probes[ord_][1] for ord_ in miss_ords]
         if missing:
             captured = {
                 run_id: self.store.generation_vector((run_id,))
@@ -189,8 +200,8 @@ class TraceReadCache:
             )
             for run_id in missing:
                 bindings = fetched.get(run_id, [])
-                key = ("xform_in_match", run_id, node, port, index.encode())
-                self._lru.put(key, (captured[run_id], tuple(bindings)))
+                key = ("xform_in_match", run_id, node, port, encoded)
+                self._put(key, captured[run_id], tuple(bindings))
                 if bindings:
                     resolved[run_id] = list(bindings)
             self._sync_obs()
@@ -261,19 +272,19 @@ class TraceReadCache:
         vectors: Dict[str, Any] = {}
         hits: Dict[int, Tuple[Any, ...]] = {}
         misses: List[int] = []
-        for ord_, (key, run_id) in enumerate(probes):
-            entry = self._lru.get(key)
+        entries = self._lru.get_many([key for key, _ in probes])
+        for ord_, entry in enumerate(entries):
             if entry is not MISSING:
                 generations, payload = entry
+                run_id = probes[ord_][1]
                 if run_id not in vectors:
                     vectors[run_id] = self.store.generation_vector((run_id,))
                 if generations == vectors[run_id]:
-                    self._record(hit=True)
                     hits[ord_] = payload
                     continue
-                self._lru.discard(key)
-            self._record(hit=False)
+                self._lru.discard(probes[ord_][0])
             misses.append(ord_)
+        self._record(len(hits), len(misses))
         return hits, misses
 
     def put_many(
@@ -288,7 +299,7 @@ class TraceReadCache:
         than the store, so validation refuses it).
         """
         for key, generations, payload in entries:
-            self._lru.put(key, (generations, payload))
+            self._put(key, generations, payload)
         self._sync_obs()
 
     def _lookup_many(

@@ -732,6 +732,10 @@ class TraceStore:
         self._run_generations: Dict[str, int] = {}
         self._global_generation = 0
         self._membership_generation = 0
+        # Deletes between the start of their transaction and their
+        # membership bump (see membership_token).
+        self._membership_writes = 0
+        self._membership_settled = threading.Condition(self._generation_lock)
         self._invalidation_listeners: List[Callable[[Optional[str]], None]] = []
         # One writer at a time, across all threads.  RLock so write paths
         # may call read helpers without deadlocking themselves.
@@ -983,6 +987,23 @@ class TraceStore:
         with self._generation_lock:
             return self._membership_generation
 
+    def membership_token(self, timeout: float = 0.0) -> Optional[int]:
+        """The membership generation once no ``delete_run`` is in flight.
+
+        A delete commits before it bumps the membership generation, so
+        the generation alone cannot tell a reader that read between the
+        two.  The delete marks itself in flight for that whole span, and
+        this token is ``None`` while the mark is set (a seqlock): a
+        reader that gets the same non-``None`` token before and after
+        its reads saw one run set.  Waits up to ``timeout`` seconds for
+        an in-flight delete to finish; ``None`` when it has not.
+        """
+        with self._membership_settled:
+            settled = self._membership_settled.wait_for(
+                lambda: not self._membership_writes, timeout
+            )
+            return self._membership_generation if settled else None
+
     def generation_vector(
         self, run_ids: Sequence[str]
     ) -> Tuple[int, Tuple[int, ...]]:
@@ -1132,13 +1153,25 @@ class TraceStore:
         self.bump_run_generation(trace.run_id, membership=True)
 
     def delete_run(self, run_id: str) -> None:
-        """Remove one run and all of its events."""
-        self._write_transaction(
-            lambda cursor: cursor.execute(
-                "DELETE FROM runs WHERE run_id = ?", (run_id,)
+        """Remove one run and all of its events.
+
+        In flight (``membership_token`` is ``None``) from before the
+        transaction until after the membership bump, so no reader can
+        take the committed delete for an unchanged run set.
+        """
+        with self._generation_lock:
+            self._membership_writes += 1
+        try:
+            self._write_transaction(
+                lambda cursor: cursor.execute(
+                    "DELETE FROM runs WHERE run_id = ?", (run_id,)
+                )
             )
-        )
-        self.bump_run_generation(run_id, membership=True)
+            self.bump_run_generation(run_id, membership=True)
+        finally:
+            with self._membership_settled:
+                self._membership_writes -= 1
+                self._membership_settled.notify_all()
 
     # -- index management (ablation support) --------------------------------
 

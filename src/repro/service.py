@@ -76,6 +76,10 @@ QueryLike = Union[str, LineageQuery]
 #: as :class:`~repro.provenance.store.StoreBusyError`.
 SCOPE_ATTEMPTS = 3
 
+#: Longest wait, per attempt, for a ``delete_run`` in flight to finish
+#: before a whole-store query resolves its scope.
+SCOPE_SETTLE_SECONDS = 1.0
+
 
 class ProvenanceService:
     """Own a trace store and answer provenance questions about runs.
@@ -281,9 +285,17 @@ class ProvenanceService:
     def _owning_workflow(self, query: LineageQuery) -> str:
         with self._registry_lock:
             flows = list(self._flows.items())
-        for name, flow in flows:
-            if query.node == name or flow.has_processor(query.node):
-                return name
+        owners = [
+            name for name, flow in flows
+            if query.node == name or flow.has_processor(query.node)
+        ]
+        if len(owners) == 1:
+            return owners[0]
+        if owners:
+            raise WorkflowError(
+                f"node {query.node!r} is in more than one registered "
+                f"workflow: {', '.join(repr(name) for name in owners)}"
+            )
         from repro.analysis.precheck import suggest_names
 
         candidates = [name for name, _ in flows]
@@ -362,9 +374,10 @@ class ProvenanceService:
         loops (``lineage_multirun`` on either engine).
 
         With the default scope, the run set is resolved and read under
-        one membership generation of the store: a query racing an ingest
-        or ``delete_run`` resolves its scope again and re-executes, and
-        after :data:`SCOPE_ATTEMPTS` moving run sets it raises
+        one membership token of the store: a query racing an ingest or
+        ``delete_run`` resolves its scope again and re-executes, and
+        after :data:`SCOPE_ATTEMPTS` moving run sets (or deletes still in
+        flight after :data:`SCOPE_SETTLE_SECONDS`) it raises
         :class:`~repro.provenance.store.StoreBusyError`.  An answer never
         names a run that was deleted before its reads finished.
 
@@ -474,19 +487,20 @@ class ProvenanceService:
                 return rejected
         pinned = list(runs) if runs is not None else None
         for _ in range(SCOPE_ATTEMPTS):
-            # Captured before the scope is resolved: if it still holds
-            # once the reads finish, scope and answer saw one run set.
-            membership = self.store.membership_generation
-            scope = (
-                pinned if pinned is not None else self.runs_of(workflow_name)
-            )
+            if pinned is None:
+                # Captured before the scope is resolved: if the same
+                # token holds once the reads finish, scope and answer saw
+                # one run set.  None: a delete is still in flight.
+                membership = self.store.membership_token(SCOPE_SETTLE_SECONDS)
+                if membership is None:
+                    continue
+                scope = self.runs_of(workflow_name)
+            else:
+                scope = pinned
             result, entry = self._execute(
                 workflow_name, parsed, scope, strategy, cache, _meta
             )
-            if (
-                pinned is None
-                and self.store.membership_generation != membership
-            ):
+            if pinned is None and self.store.membership_token() != membership:
                 continue
             if entry is not None:
                 key, generations = entry

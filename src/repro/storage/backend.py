@@ -29,7 +29,8 @@ ingest/metadata     ``insert_trace``, ``delete_run``, ``has_run``,
                     ``load_trace``, ``run_ids``, ``record_count``,
                     ``statistics``
 coherence tokens    ``generation``, ``global_generation``,
-                    ``membership_generation``, ``generation_vector``,
+                    ``membership_generation``, ``membership_token``,
+                    ``generation_vector``,
                     ``add_invalidation_listener``,
                     ``bump_run_generation``, ``bump_global_generation``
 lookup primitives   ``find_xform_by_output(_many)``,
@@ -123,6 +124,8 @@ class StorageBackend(Protocol):
 
     @property
     def membership_generation(self) -> int: ...
+
+    def membership_token(self, timeout: float = 0.0) -> Optional[int]: ...
 
     def generation_vector(
         self, run_ids: Sequence[str]

@@ -52,6 +52,7 @@ import json
 import os
 import sqlite3
 import threading
+import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from typing import (
@@ -427,6 +428,24 @@ class ShardedStore:
     @property
     def membership_generation(self) -> int:
         return sum(shard.membership_generation for shard in self.shards)
+
+    def membership_token(self, timeout: float = 0.0) -> Optional[int]:
+        """Sum of the shards' tokens; ``None`` while any shard deletes.
+
+        A delete in flight on a shard read before or after it shows as
+        ``None`` or as a moved sum, so the single-file seqlock holds
+        across shards.
+        """
+        deadline = time.monotonic() + timeout
+        total = 0
+        for shard in self.shards:
+            token = shard.membership_token(
+                max(0.0, deadline - time.monotonic())
+            )
+            if token is None:
+                return None
+            total += token
+        return total
 
     def generation_vector(
         self, run_ids: Sequence[str]

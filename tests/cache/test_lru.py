@@ -54,6 +54,16 @@ class TestLRUCache:
         assert stats["entries"] == 1
         assert stats["bytes"] > 0
 
+    def test_get_many_counts_and_refreshes_like_get(self):
+        cache = LRUCache(max_entries=2)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        assert cache.get_many(["a", "absent", "a"]) == [1, MISSING, 1]
+        assert (cache.hits, cache.misses) == (2, 1)
+        cache.put("c", 3)  # "a" was refreshed, so "b" is the LRU victim
+        assert cache.peek("a") == 1
+        assert cache.peek("b") is MISSING
+
     def test_peek_moves_no_counters(self):
         cache = LRUCache()
         cache.put("k", "v")

@@ -1,5 +1,7 @@
 """Tests for the integration façade (repro.service.ProvenanceService)."""
 
+import threading
+
 import pytest
 
 from repro.service import ProvenanceService
@@ -122,6 +124,27 @@ class TestQueries:
         )
         assert list(diamond_answer.per_run) == [diamond_run]
         assert list(gk_answer.per_run) == [gk_run]
+
+    def test_node_shared_by_two_workflows_is_ambiguous(self):
+        from repro.testbed.generator import (
+            FINAL_PROCESSOR,
+            chain_product_workflow,
+        )
+
+        with ProvenanceService() as service:
+            # Fig. 5 flows of different l share LISTGEN, CHAIN*_0.. and
+            # the final processor.
+            service.register_workflow(chain_product_workflow(2))
+            service.register_workflow(chain_product_workflow(3))
+            service.run("synthetic_l2", {"ListSize": 2})
+            with pytest.raises(WorkflowError) as info:
+                service.lineage(f"lin(<{FINAL_PROCESSOR}:y[0.0]>, {{CHAIN1_0}})")
+            message = str(info.value)
+            assert "'synthetic_l2'" in message
+            assert "'synthetic_l3'" in message
+            # A node only one flow has still routes to it.
+            answer = service.lineage("lin(<CHAIN1_2:y[0]>, {CHAIN1_0})")
+            assert list(answer.per_run) == []
 
 
 class TestErrorHandlingMode:
@@ -290,6 +313,71 @@ class TestWholeStoreConsistency:
             with pytest.raises(StoreBusyError):
                 service.lineage(self.QUERY)
             assert service.cache_stats()["result"]["entries"] == 0
+
+    @pytest.mark.parametrize("shards", [0, 2])
+    def test_read_between_delete_commit_and_bump_is_retried(
+        self, monkeypatch, shards
+    ):
+        """The reader resolves its scope before ``delete_run`` starts,
+        reads after the delete committed and checks its run set before
+        the delete bumped the membership generation: the in-flight mark
+        makes it re-execute instead of answering the deleted run."""
+        from repro.storage import ShardedStore
+
+        store = ShardedStore(num_shards=shards) if shards else None
+        with ProvenanceService(store=store) as service:
+            service.register_workflow(build_diamond_workflow())
+            runs = [service.run("wf", {"size": 2}) for _ in range(3)]
+            victim = runs[-1]
+            resolved = threading.Event()
+            committed = threading.Event()
+            checked = threading.Event()
+            tokens = []
+
+            resolve = service.runs_of
+
+            def runs_of(workflow_name):
+                scope = resolve(workflow_name)
+                if not resolved.is_set():
+                    resolved.set()
+                    assert committed.wait(5)
+                return scope
+
+            token = service.store.membership_token
+
+            def membership_token(timeout=0.0):
+                value = token(timeout)
+                if committed.is_set() and not checked.is_set():
+                    # The reader's post-read check, inside the window.
+                    tokens.append(value)
+                    checked.set()
+                return value
+
+            monkeypatch.setattr(service, "runs_of", runs_of)
+            monkeypatch.setattr(
+                service.store, "membership_token", membership_token
+            )
+            for shard in getattr(service.store, "shards", [service.store]):
+                bump = shard.bump_run_generation
+
+                def hooked(run_id, membership=False, _bump=bump):
+                    if run_id == victim:
+                        committed.set()
+                        assert checked.wait(5)
+                    _bump(run_id, membership=membership)
+
+                monkeypatch.setattr(shard, "bump_run_generation", hooked)
+
+            answers = []
+            reader = threading.Thread(
+                target=lambda: answers.append(service.lineage(self.QUERY))
+            )
+            reader.start()
+            assert resolved.wait(5)
+            service.store.delete_run(victim)
+            reader.join(5)
+            assert tokens == [None]
+            assert [list(answer.per_run) for answer in answers] == [runs[:-1]]
 
     def test_pinned_scope_is_not_retried(self, monkeypatch):
         with ProvenanceService() as service:
